@@ -33,7 +33,6 @@ AbortResult RunOne(bool weakened, sim::Duration flap_period, uint64_t seed) {
   // Copies live only at {0,1,2}: the churning processors 3 and 4 never
   // carry a transaction footprint, so §6's containment conditions hold
   // across every view change.
-  config.has_custom_placement = true;
   for (ObjectId obj = 0; obj < 16; ++obj) {
     for (ProcessorId p = 0; p < 3; ++p) config.placement.AddCopy(obj, p, 1);
   }

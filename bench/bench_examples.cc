@@ -96,7 +96,6 @@ harness::ClusterConfig Example2Config(harness::Protocol protocol) {
   c.n_processors = 4;
   c.protocol = protocol;
   c.seed = 11;
-  c.has_custom_placement = true;
   c.placement.AddCopy(kA, 0, 2);
   c.placement.AddCopy(kA, 3, 1);
   c.placement.AddCopy(kB, 1, 2);

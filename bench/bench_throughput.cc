@@ -154,7 +154,8 @@ double PercentileMs(std::vector<runtime::Duration>& lat, double q) {
 
 ProtoResult RunOne(harness::Protocol proto, const Options& opts,
                    bool tracing = false, const std::string& trace_out = {},
-                   uint32_t workers = 0, bool observability = true) {
+                   uint32_t workers = 0,
+                   size_t fdr_capacity = obs::FlightRecorder::kDefaultCapacity) {
   using TC = harness::ThreadCluster;
   harness::ThreadClusterConfig cfg;
   cfg.n_processors = 3;
@@ -162,7 +163,7 @@ ProtoResult RunOne(harness::Protocol proto, const Options& opts,
   cfg.protocol = proto;
   cfg.runtime.workers = workers;  // 0 = runtime default.
   cfg.tracing = tracing || !trace_out.empty();
-  cfg.observability = observability;
+  cfg.fdr_capacity = fdr_capacity;
   // Wall-clock-realistic VP bounds. The sim defaults (δ=5ms, π=100ms) are
   // tuned for modeled delays; on an oversubscribed host a busy worker pool
   // alone can exceed 2δ, and every missed probe deadline tears the view
@@ -317,20 +318,19 @@ void WriteJson(const std::string& path, const Options& opts,
 }
 
 /// --overhead-check: the registry is always on; the switchable
-/// instrumentation is the flight recorder + invariant probes
-/// (ThreadClusterConfig::observability) and tracing. Two baselines with all
-/// of it off bound the run-to-run noise; the fully instrumented run
+/// instrumentation is the flight recorder + invariant probes (off with
+/// fdr_capacity = 0) and tracing. Two baselines with all of it off bound
+/// the run-to-run noise; the fully instrumented run
 /// (recorder + probes + tracing) must stay within 10% of the slower one.
 int OverheadCheck(const Options& opts) {
   const harness::Protocol proto = harness::Protocol::kVirtualPartition;
   std::printf("overhead check: VP, %u clients, %u ms window\n", opts.clients,
               opts.duration_ms);
   const ProtoResult base1 =
-      RunOne(proto, opts, /*tracing=*/false, {}, 0, /*observability=*/false);
+      RunOne(proto, opts, /*tracing=*/false, {}, 0, /*fdr_capacity=*/0);
   const ProtoResult base2 =
-      RunOne(proto, opts, /*tracing=*/false, {}, 0, /*observability=*/false);
-  const ProtoResult traced =
-      RunOne(proto, opts, /*tracing=*/true, {}, 0, /*observability=*/true);
+      RunOne(proto, opts, /*tracing=*/false, {}, 0, /*fdr_capacity=*/0);
+  const ProtoResult traced = RunOne(proto, opts, /*tracing=*/true);
   const double base_floor = std::min(base1.txns_per_sec, base2.txns_per_sec);
   std::printf("  baseline     %.1f / %.1f txns/sec (%llu / %llu committed)\n",
               base1.txns_per_sec, base2.txns_per_sec,

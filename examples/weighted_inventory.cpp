@@ -50,7 +50,6 @@ int main() {
   config.n_processors = 3;
   config.protocol = harness::Protocol::kVirtualPartition;
   config.seed = 77;
-  config.has_custom_placement = true;
   config.placement.AddCopy(kWidgets, kHq, 2);      // HQ: weight 2.
   config.placement.AddCopy(kWidgets, kStoreA, 1);  // Stores: weight 1.
   config.placement.AddCopy(kWidgets, kStoreB, 1);

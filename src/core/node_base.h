@@ -41,8 +41,6 @@
 
 namespace vp::core {
 
-class TestEnv;  // core/test_env.h
-
 /// Everything a node needs from its environment. The execution substrate
 /// enters only through the three runtime interfaces, so the same node code
 /// runs on the deterministic simulator and on real threads.
@@ -59,9 +57,8 @@ struct NodeEnv {
   storage::ReplicaStore* store = nullptr;
   cc::LockManager* locks = nullptr;
   history::Recorder* recorder = nullptr;
-  /// Stable device for crash-amnesia durability. May be null (tests that
-  /// build a NodeEnv by hand); then no persist points fire and crashes
-  /// retain memory.
+  /// Stable device for crash-amnesia durability. May be null (the thread
+  /// backend); then no persist points fire and crashes retain memory.
   storage::StableStore* stable = nullptr;
   /// Reliable-delivery knobs for physical operations. Disabled by default
   /// (sends go straight to the lossy network, the pre-reliability
@@ -76,10 +73,6 @@ struct NodeEnv {
   /// flight_recorder.h). Null = a process-global recorder that drops
   /// everything, so node code never null-checks.
   obs::FlightRecorder* fdr = nullptr;
-
-  /// Builder for unit tests: wires every field except `stable` from a
-  /// TestEnv (defined in core/test_env.h, where this is implemented).
-  static NodeEnv ForTest(TestEnv& env, ProcessorId p = 0);
 };
 
 /// Base class of all protocol nodes. See file comment.

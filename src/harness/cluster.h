@@ -1,67 +1,29 @@
-// One-stop construction of a simulated replicated-database system: the
-// event kernel, communication graph, network, failure injector, per-node
-// storage/locks, the chosen replica-control protocol at every processor,
-// and the execution recorder. Tests, benchmarks and examples all build on
-// this.
+// The simulator backend: the event kernel, communication graph, lossy
+// network, failure injector and per-processor stable devices, with the
+// replicated system itself (harness/assembly.h) built over them. Tests,
+// benchmarks and examples all build on this.
 #ifndef VPART_HARNESS_CLUSTER_H_
 #define VPART_HARNESS_CLUSTER_H_
 
-#include <map>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "cc/lock_manager.h"
-#include "core/node_base.h"
-#include "core/vp_config.h"
-#include "core/vp_node.h"
-#include "history/checker.h"
-#include "history/recorder.h"
+#include "harness/assembly.h"
 #include "net/failure_injector.h"
 #include "net/network.h"
 #include "net/topology.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/probes.h"
-#include "obs/trace.h"
-#include "protocols/naive_view_node.h"
-#include "protocols/quorum_node.h"
 #include "runtime/sim_runtime.h"
 #include "sim/scheduler.h"
-#include "storage/placement.h"
-#include "storage/replica_store.h"
-#include "storage/stable_store.h"
 
 namespace vp::harness {
 
-/// Which replica-control protocol the cluster runs.
-enum class Protocol {
-  kVirtualPartition,
-  kQuorum,           // Gifford weighted voting (QuorumConfig).
-  kMajorityVoting,   // Thomas: r = w = majority.
-  kRowa,             // read-one/write-all, no views.
-  kNaiveView,        // §4 strawman (incorrect by design).
-};
-
-std::string ProtocolName(Protocol p);
-
-/// Inverse of ProtocolName. Returns false (leaving *out untouched) for an
-/// unknown name.
-bool ProtocolFromName(const std::string& name, Protocol* out);
-
-struct ClusterConfig {
-  uint32_t n_processors = 3;
-  /// Used when `placement` is empty: n_objects fully replicated objects.
-  ObjectId n_objects = 4;
-  /// Custom placement; empty = FullReplication(n_processors, n_objects).
-  storage::CopyPlacement placement;
-  bool has_custom_placement = false;
-  /// Initial committed value of every copy.
-  Value initial_value = "0";
-  /// Per-object overrides of the initial value.
-  std::map<ObjectId, Value> initial_values;
-
+/// The simulator backend's config: the system (AssemblyConfig) plus the
+/// simulated network, the fault model of the stable devices, and the seed.
+struct ClusterConfig : AssemblyConfig {
   net::NetworkConfig net;
+  /// Seeds the network and the failure injector, and is xor-ed into
+  /// reliable.jitter_seed to decorrelate the channel's jitter per cluster.
   uint64_t seed = 42;
 
   /// Fault model for processor crashes. kRetainMemory (default) preserves
@@ -74,27 +36,6 @@ struct ClusterConfig {
   /// and quarantines rotted copies; kNoChecksum is the negative control
   /// that serves rotted bytes verbatim.
   storage::IntegrityMode integrity = storage::IntegrityMode::kChecksum;
-
-  Protocol protocol = Protocol::kVirtualPartition;
-  core::VpConfig vp;
-  protocols::QuorumConfig quorum;
-  protocols::NaiveConfig naive;
-
-  /// Reliable-delivery layer for physical operations (all protocols); lives
-  /// here rather than on the per-protocol configs because kMajorityVoting
-  /// and kRowa build their QuorumConfig from factories. The channel's jitter
-  /// stream is decorrelated per cluster by xor-ing `seed` into jitter_seed.
-  core::ReliableConfig reliable;
-
-  /// Enables causal tracing: transactions and view changes get trace ids
-  /// and the cluster's tracer records spans (see obs/trace.h). Metrics are
-  /// always on — the serial registry is free on the sim backend.
-  bool tracing = false;
-
-  /// Per-node flight-recorder ring capacity (events). The recorder is
-  /// always on — serial single-writer rings are cheap on the sim backend —
-  /// and feeds the online invariant probes. Zero disables both.
-  size_t fdr_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 class Cluster {
@@ -111,20 +52,24 @@ class Cluster {
   runtime::SimRuntime& runtime() { return runtime_; }
   /// The simulation-backed runtime view nodes and clients program against.
   runtime::RuntimeView runtime_view() { return runtime_.view(); }
-  history::Recorder& recorder() { return recorder_; }
-  const storage::CopyPlacement& placement() const { return placement_; }
+  history::Recorder& recorder() { return assembly_.recorder(); }
+  const storage::CopyPlacement& placement() const {
+    return assembly_.placement();
+  }
   /// Epoch chain shared by every node (slot 0 = `placement()`).
-  storage::PlacementDirectory& placements() { return placements_; }
-  const storage::PlacementDirectory& placements() const { return placements_; }
+  storage::PlacementDirectory& placements() { return assembly_.placements(); }
+  const storage::PlacementDirectory& placements() const {
+    return assembly_.placements();
+  }
   /// Highest epoch any committed view has introduced so far.
-  EpochId LatestEpoch() const { return placements_.LatestEpoch(); }
+  EpochId LatestEpoch() const { return placements().LatestEpoch(); }
   /// Placement of the latest epoch — what durability checks must use: a
   /// reconfigured-away copy is legitimately stale.
   const storage::CopyPlacement& FinalPlacement() const {
-    return placements_.At(placements_.LatestEpoch());
+    return placements().At(LatestEpoch());
   }
-  storage::ReplicaStore& store(ProcessorId p) { return *stores_[p]; }
-  cc::LockManager& locks(ProcessorId p) { return *locks_[p]; }
+  storage::ReplicaStore& store(ProcessorId p) { return assembly_.store(p); }
+  cc::LockManager& locks(ProcessorId p) { return assembly_.locks(p); }
   storage::StableStore& stable(ProcessorId p) { return *stables_[p]; }
   const ClusterConfig& config() const { return config_; }
   uint32_t size() const { return config_.n_processors; }
@@ -132,49 +77,50 @@ class Cluster {
   /// on one thread, and plain-int counters keep snapshots deterministic).
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  obs::Tracer& tracer() { return tracer_; }
+  obs::Tracer& tracer() { return assembly_.tracer(); }
   /// Always-on flight recorder holding each node's last-N protocol events.
-  obs::FlightRecorder& fdr() { return fdr_; }
-  const obs::FlightRecorder& fdr() const { return fdr_; }
+  obs::FlightRecorder& fdr() { return assembly_.fdr(); }
+  const obs::FlightRecorder& fdr() const { return assembly_.fdr(); }
   /// Online invariant probes consuming the flight-recorder stream.
-  obs::ProbeEngine& probes() { return probes_; }
-  const obs::ProbeEngine& probes() const { return probes_; }
+  obs::ProbeEngine& probes() { return assembly_.probes(); }
+  const obs::ProbeEngine& probes() const { return assembly_.probes(); }
 
-  core::NodeBase& node(ProcessorId p) { return *nodes_[p]; }
+  core::NodeBase& node(ProcessorId p) { return assembly_.node(p); }
   /// Typed access; aborts if the cluster runs a different protocol.
-  core::VpNode& vp_node(ProcessorId p);
-  protocols::NaiveViewNode& naive_node(ProcessorId p);
+  core::VpNode& vp_node(ProcessorId p) { return assembly_.vp_node(p); }
+  protocols::NaiveViewNode& naive_node(ProcessorId p) {
+    return assembly_.naive_node(p);
+  }
 
   /// Queues a reconfiguration batch at processor `p` (VP protocol only).
   /// The batch commits at the next vp boundary whose view passes the
   /// authoritativeness gate; see VpNode::ProposeReconfig.
-  void ProposeReconfig(ProcessorId p, std::vector<ReconfigOp> ops);
+  void ProposeReconfig(ProcessorId p, std::vector<ReconfigOp> ops) {
+    vp_node(p).ProposeReconfig(std::move(ops));
+  }
 
   // --- Running ---
   void RunFor(sim::Duration d) { scheduler_.RunUntil(scheduler_.Now() + d); }
   void RunUntilIdle() { scheduler_.RunUntilIdle(); }
 
-  // --- Analysis ---
-  /// Initial one-copy database matching the configured initial values.
-  history::InitialDb initial_db() const;
-  /// Theorem 1′ certification of everything committed so far.
-  history::CertifyResult Certify() const;
-  /// Exhaustive-search certification (small histories).
-  history::CertifyResult CertifyAnyOrder(size_t max_txns = 9) const;
-  /// CP-serializability of recorded physical operations (assumption A1).
-  history::CertifyResult CertifyConflicts() const;
-  /// No-lost-committed-write check: committed reads trace to committed
-  /// writes (or the initial database).
-  history::CertifyResult CertifyDurableReads() const;
-  /// Sum of a ProtocolStats field over all nodes.
-  core::ProtocolStats AggregateStats() const;
+  // --- Analysis (see Assembly) ---
+  history::InitialDb initial_db() const { return assembly_.initial_db(); }
+  history::CertifyResult Certify() const { return assembly_.Certify(); }
+  history::CertifyResult CertifyAnyOrder(size_t max_txns = 9) const {
+    return assembly_.CertifyAnyOrder(max_txns);
+  }
+  history::CertifyResult CertifyConflicts() const {
+    return assembly_.CertifyConflicts();
+  }
+  history::CertifyResult CertifyDurableReads() const {
+    return assembly_.CertifyDurableReads();
+  }
+  core::ProtocolStats AggregateStats() const {
+    return assembly_.AggregateStats();
+  }
   /// Sum of stable-device counters over all processors (fsyncs, WAL bytes,
   /// replayed records, reboots).
   storage::StableStats AggregateStableStats() const;
-  /// Sum of replica-store counters over all processors, including the
-  /// graveyard of stores retired by amnesia reboots (their commits and
-  /// recoveries happened and must stay visible in bench output).
-  storage::StoreStats AggregateStoreStats() const;
 
   /// True once every alive, mutually-connected processor pair reports the
   /// same virtual partition (VP protocol only).
@@ -192,35 +138,19 @@ class Cluster {
   void Revive(ProcessorId p);
 
  private:
-  std::unique_ptr<core::NodeBase> MakeNode(ProcessorId p);
-
   ClusterConfig config_;
   /// Declared before every component that caches counter handles.
   obs::MetricsRegistry metrics_{obs::RegistryMode::kSerial};
-  obs::Tracer tracer_;
   sim::Scheduler scheduler_;
   net::CommGraph graph_;
   net::Network network_;
   net::FailureInjector injector_;
   runtime::SimRuntime runtime_;
-  storage::CopyPlacement placement_;
-  storage::PlacementDirectory placements_;
-  /// Declared after metrics_ (probe counters) and before nodes_ (nodes
-  /// record into the rings). Sim runs single-threaded: serial mode.
-  obs::FlightRecorder fdr_;
-  obs::ProbeEngine probes_;
-  history::Recorder recorder_;
-  std::vector<std::unique_ptr<storage::ReplicaStore>> stores_;
-  std::vector<std::unique_ptr<cc::LockManager>> locks_;
   std::vector<std::unique_ptr<storage::StableStore>> stables_;
-  std::vector<std::unique_ptr<core::NodeBase>> nodes_;
+  /// Declared after the substrate it runs on, so its nodes die first.
+  Assembly assembly_;
   /// Processors whose amnesia crash is awaiting the matching recover.
   std::vector<bool> reboot_pending_;
-  /// Graveyards: objects replaced by Reboot stay alive until the cluster
-  /// dies, because scheduled closures capture raw pointers into them.
-  std::vector<std::unique_ptr<core::NodeBase>> retired_nodes_;
-  std::vector<std::unique_ptr<cc::LockManager>> retired_locks_;
-  std::vector<std::unique_ptr<storage::ReplicaStore>> retired_stores_;
 };
 
 }  // namespace vp::harness

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "core/vp_node.h"
-#include "protocols/naive_view_node.h"
 
 namespace vp::harness {
 
@@ -20,96 +18,44 @@ runtime::ThreadRuntime::Config WithMetrics(runtime::ThreadRuntime::Config c,
 
 ThreadCluster::ThreadCluster(ThreadClusterConfig config)
     : config_(std::move(config)),
-      fdr_(obs::FdrMode::kConcurrent, config_.n_processors,
-           config_.observability ? config_.fdr_capacity : 0),
-      probes_(/*thread_safe=*/true, &metrics_),
-      fdr_used_(config_.observability ? &fdr_
-                                      : obs::FlightRecorder::Disabled()),
-      runtime_(config_.n_processors,
-               WithMetrics(config_.runtime, &metrics_)),
-      placement_(storage::CopyPlacement::FullReplication(
-          config_.n_processors, config_.n_objects)),
-      placements_(placement_) {
-  tracer_.set_enabled(config_.tracing);
-  if (config_.observability) {
-    fdr_.set_listener(&probes_);
-    probes_.AttachRecorder(&fdr_);
-    probes_.AddKnownValue("");
-    probes_.AddKnownValue(config_.initial_value);
-  }
-  const uint32_t n = config_.n_processors;
-  stores_.reserve(n);
-  locks_.reserve(n);
-  nodes_.reserve(n);
-  for (ProcessorId p = 0; p < n; ++p) {
-    stores_.push_back(std::make_unique<storage::ReplicaStore>());
-    // Each lock manager schedules its timeout tasks on its own node's
-    // strand, so its state is strand-serialized like the node itself.
-    locks_.push_back(std::make_unique<cc::LockManager>(
-        runtime_.executor(p), runtime_.clock(), &metrics_));
-    for (ObjectId obj : placement_.LocalObjects(p)) {
-      stores_[p]->CreateCopy(obj, config_.initial_value, kEpochDate);
-    }
-  }
-  for (ProcessorId p = 0; p < n; ++p) nodes_.push_back(MakeNode(p));
+      runtime_(config_.n_processors, WithMetrics(config_.runtime, &metrics_)),
+      // Each lock manager schedules its timeout tasks on its own node's
+      // strand, so its state is strand-serialized like the node itself.
+      assembly_(config_, Substrate{
+                             .clock = runtime_.clock(),
+                             .transport = runtime_.transport(),
+                             .executor = [this](ProcessorId p) {
+                               return runtime_.executor(p);
+                             },
+                             .metrics = &metrics_,
+                             // No stable device: crashes retain memory.
+                             .stable = nullptr,
+                             .jitter_salt = 0,
+                         }) {
   // Start on the owning strand: Start registers the transport endpoint and
   // arms timers, and every later touch of node state happens on its strand.
   // The runtime was just constructed, so these cannot race a Stop.
-  for (ProcessorId p = 0; p < n; ++p) {
-    VP_CHECK(runtime_.RunOn(p, [this, p] { nodes_[p]->Start(); }));
+  for (ProcessorId p = 0; p < size(); ++p) {
+    VP_CHECK(runtime_.RunOn(p, [this, p] { node(p).Start(); }));
   }
 }
 
 ThreadCluster::~ThreadCluster() { runtime_.Stop(); }
 
-std::unique_ptr<core::NodeBase> ThreadCluster::MakeNode(ProcessorId p) {
-  core::NodeEnv env;
-  env.clock = runtime_.clock();
-  env.executor = runtime_.executor(p);
-  env.transport = runtime_.transport();
-  env.placement = &placement_;
-  env.placements = &placements_;
-  env.store = stores_[p].get();
-  env.locks = locks_[p].get();
-  env.recorder = &recorder_;
-  env.reliable = config_.reliable;
-  env.metrics = &metrics_;
-  env.tracer = &tracer_;
-  env.fdr = fdr_used_;
-  switch (config_.protocol) {
-    case Protocol::kVirtualPartition:
-      return std::make_unique<core::VpNode>(p, env, config_.vp);
-    case Protocol::kQuorum:
-      return std::make_unique<protocols::QuorumNode>(p, env, config_.quorum);
-    case Protocol::kMajorityVoting:
-      return std::make_unique<protocols::QuorumNode>(
-          p, env, protocols::MajorityVotingConfig());
-    case Protocol::kRowa:
-      return std::make_unique<protocols::QuorumNode>(p, env,
-                                                     protocols::RowaConfig());
-    case Protocol::kNaiveView:
-      return std::make_unique<protocols::NaiveViewNode>(p, env,
-                                                        protocols::NaiveConfig());
-  }
-  VP_CHECK(false);
-  return nullptr;
-}
-
 void ThreadCluster::ProposeReconfig(ProcessorId p,
                                     std::vector<ReconfigOp> ops) {
-  VP_CHECK(config_.protocol == Protocol::kVirtualPartition);
-  core::NodeBase* node = nodes_[p].get();
+  core::VpNode* node = &assembly_.vp_node(p);
   // A false return means the runtime already stopped; the proposal is
   // simply not queued (nothing to clean up).
   (void)runtime_.RunOn(p, [node, ops = std::move(ops)]() mutable {
-    static_cast<core::VpNode*>(node)->ProposeReconfig(std::move(ops));
+    node->ProposeReconfig(std::move(ops));
   });
 }
 
 ThreadCluster::TxnResult ThreadCluster::RunTxn(ProcessorId at,
                                                const std::vector<Op>& ops) {
   VP_CHECK(at < size());
-  core::NodeBase* node = nodes_[at].get();
+  core::NodeBase* node = &assembly_.node(at);
   TxnResult result;
   const runtime::TimePoint begin = runtime_.clock()->Now();
 
@@ -209,23 +155,6 @@ ThreadCluster::TxnResult ThreadCluster::RunTxn(ProcessorId at,
   if (!commit.ok()) result.failure = commit;
   result.latency = runtime_.clock()->Now() - begin;
   return result;
-}
-
-history::CertifyResult ThreadCluster::Certify() const {
-  history::InitialDb initial;
-  for (ObjectId obj = 0; obj < config_.n_objects; ++obj) {
-    initial[obj] = config_.initial_value;
-  }
-  const std::vector<history::TxnHistory> committed = recorder_.Committed();
-  history::CertifyResult r = history::CertifyOneCopySR(committed, initial);
-  if (r.ok) return r;
-  // Same fallback as Cluster::Certify: the conflict-graph order is the
-  // witness strict 2PL actually enforces; any passing replay is sound.
-  history::CertifyResult conflict_order =
-      history::CertifyOneCopySRConflictOrder(recorder_.physical_ops(),
-                                             committed, initial);
-  if (conflict_order.ok) return conflict_order;
-  return r;
 }
 
 }  // namespace vp::harness

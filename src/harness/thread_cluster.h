@@ -1,5 +1,6 @@
-// The threaded sibling of Cluster: the same protocol nodes, storage stack
-// and recorder, wired to runtime::ThreadRuntime instead of the simulator.
+// The thread backend: the replicated system (harness/assembly.h) built
+// over runtime::ThreadRuntime instead of the simulator, plus a blocking
+// client API.
 //
 // There is no failure injector, no stable storage and no determinism here —
 // the simulator owns fault exploration. ThreadCluster's job is the
@@ -10,44 +11,18 @@
 #ifndef VPART_HARNESS_THREAD_CLUSTER_H_
 #define VPART_HARNESS_THREAD_CLUSTER_H_
 
-#include <memory>
+#include <utility>
 #include <vector>
 
-#include "cc/lock_manager.h"
-#include "core/node_base.h"
-#include "core/vp_config.h"
-#include "harness/cluster.h"
-#include "history/checker.h"
-#include "history/recorder.h"
-#include "protocols/quorum_node.h"
+#include "harness/assembly.h"
 #include "runtime/thread_runtime.h"
-#include "storage/placement.h"
-#include "storage/replica_store.h"
 
 namespace vp::harness {
 
-struct ThreadClusterConfig {
-  uint32_t n_processors = 3;
-  /// Fully replicated objects (custom placements are a sim-harness feature).
-  ObjectId n_objects = 4;
-  Value initial_value = "0";
-  Protocol protocol = Protocol::kVirtualPartition;
-  core::VpConfig vp;
-  protocols::QuorumConfig quorum;
-  /// Reliable-delivery layer. Defaults off: the in-process transport never
-  /// drops messages between live processors.
-  net::ReliableConfig reliable;
+/// The system (AssemblyConfig) plus the thread runtime's knobs. Nodes get
+/// no stable device, so crashes (SetAlive) retain memory.
+struct ThreadClusterConfig : AssemblyConfig {
   runtime::ThreadRuntime::Config runtime;
-  /// Enables causal tracing (span recording + trace-id assignment).
-  /// Metrics are always on: the concurrent registry's sharded counters are
-  /// a few relaxed atomic adds per event.
-  bool tracing = false;
-  /// Flight recorder + online invariant probes. On by default — each ring
-  /// is single-writer (its node's strand) so recording is lock-free; off
-  /// is the baseline arm of bench_throughput --overhead-check.
-  bool observability = true;
-  /// Per-node flight-recorder ring capacity (events).
-  size_t fdr_capacity = obs::FlightRecorder::kDefaultCapacity;
 };
 
 class ThreadCluster {
@@ -66,23 +41,22 @@ class ThreadCluster {
   /// land here too.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
-  obs::Tracer& tracer() { return tracer_; }
+  obs::Tracer& tracer() { return assembly_.tracer(); }
   /// Flight recorder (concurrent mode: per-strand single-writer rings).
-  /// Returns the process-global disabled instance when observability=false.
-  obs::FlightRecorder& fdr() { return *fdr_used_; }
-  obs::ProbeEngine& probes() { return probes_; }
-  const obs::ProbeEngine& probes() const { return probes_; }
-  core::NodeBase& node(ProcessorId p) { return *nodes_[p]; }
-  history::Recorder& recorder() { return recorder_; }
+  obs::FlightRecorder& fdr() { return assembly_.fdr(); }
+  obs::ProbeEngine& probes() { return assembly_.probes(); }
+  const obs::ProbeEngine& probes() const { return assembly_.probes(); }
+  core::NodeBase& node(ProcessorId p) { return assembly_.node(p); }
+  history::Recorder& recorder() { return assembly_.recorder(); }
   /// Epoch chain shared by every node (slot 0 = the initial placement).
-  storage::PlacementDirectory& placements() { return placements_; }
+  storage::PlacementDirectory& placements() { return assembly_.placements(); }
 
   /// Queues a reconfiguration batch at processor `p` (VP protocol only),
   /// on p's strand; returns once it is queued, not once it commits. Watch
   /// the `vp.epoch` gauge or the directory's LatestEpoch for the commit.
   void ProposeReconfig(ProcessorId p, std::vector<ReconfigOp> ops);
   /// Inspect only while quiesced (before clients start or after Stop).
-  storage::ReplicaStore& store(ProcessorId p) { return *stores_[p]; }
+  storage::ReplicaStore& store(ProcessorId p) { return assembly_.store(p); }
   const ThreadClusterConfig& config() const { return config_; }
 
   // --- Blocking client API ---
@@ -126,29 +100,17 @@ class ThreadCluster {
 
   /// Theorem 1′ certification of everything committed so far. Quiesce
   /// (Stop) first — the checker walks the recorder without snapshotting.
-  history::CertifyResult Certify() const;
+  history::CertifyResult Certify() const { return assembly_.Certify(); }
 
  private:
-  std::unique_ptr<core::NodeBase> MakeNode(ProcessorId p);
-
   const ThreadClusterConfig config_;
   /// Declared before runtime_: the runtime caches counter handles from this
   /// registry in its constructor.
   obs::MetricsRegistry metrics_{obs::RegistryMode::kConcurrent};
-  obs::Tracer tracer_;
-  /// Declared before nodes_ (nodes record into the rings). Dumps merge
-  /// per-ring snapshots; probe state is mutex-guarded (thread_safe=true).
-  obs::FlightRecorder fdr_;
-  obs::ProbeEngine probes_;
-  /// &fdr_ when observability is on, FlightRecorder::Disabled() otherwise.
-  obs::FlightRecorder* fdr_used_;
   runtime::ThreadRuntime runtime_;
-  storage::CopyPlacement placement_;
-  storage::PlacementDirectory placements_;
-  std::vector<std::unique_ptr<storage::ReplicaStore>> stores_;
-  std::vector<std::unique_ptr<cc::LockManager>> locks_;
-  history::Recorder recorder_;
-  std::vector<std::unique_ptr<core::NodeBase>> nodes_;
+  /// Declared after the runtime, so its nodes and lock managers die while
+  /// the (stopped) runtime their timers cancel into is still alive.
+  Assembly assembly_;
 };
 
 }  // namespace vp::harness

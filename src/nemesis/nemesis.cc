@@ -719,11 +719,8 @@ RunOutcome RunPlan(const FaultPlan& plan, const RunOptions& opts) {
   cfg.net.slow_prob = plan.slow_prob;
   cfg.net.dup_prob = plan.dup_prob;
   cfg.net.reorder_prob = plan.reorder_prob;
-  if (!plan.placement.empty()) {
-    for (const FaultPlan::CopySpec& c : plan.placement) {
-      cfg.placement.AddCopy(c.obj, c.proc, c.weight);
-    }
-    cfg.has_custom_placement = true;
+  for (const FaultPlan::CopySpec& c : plan.placement) {
+    cfg.placement.AddCopy(c.obj, c.proc, c.weight);
   }
   harness::Cluster cluster(cfg);
   const bool vp_protocol =

@@ -151,8 +151,7 @@ class FlightRecorder {
   }
 
   /// Process-global recorder that drops everything: the fallback for nodes
-  /// constructed without one (hand-built NodeEnvs in unit tests), so node
-  /// code never null-checks.
+  /// and channels constructed without one, so their code never null-checks.
   static FlightRecorder* Disabled();
 
  private:

@@ -114,7 +114,6 @@ ClusterConfig Example2Config(Protocol protocol) {
   c.n_processors = 4;  // A=0, B=1, C=2, D=3.
   c.protocol = protocol;
   c.seed = 11;
-  c.has_custom_placement = true;
   c.placement.AddCopy(kA, 0, 2);
   c.placement.AddCopy(kA, 3, 1);
   c.placement.AddCopy(kB, 1, 2);

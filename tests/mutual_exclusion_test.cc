@@ -86,7 +86,6 @@ TEST(MutualExclusion, WeightedCopiesEveryTwoWaySplit) {
     config.n_processors = 4;
     config.seed = 79;
     config.protocol = Protocol::kVirtualPartition;
-    config.has_custom_placement = true;
     config.placement.AddCopy(0, 0, 3);
     config.placement.AddCopy(0, 1, 2);
     config.placement.AddCopy(0, 2, 1);

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "cc/txn.h"
-#include "core/test_env.h"
 #include "core/vp_node.h"
 #include "harness/cluster.h"
 #include "test_util.h"
@@ -19,33 +18,6 @@ using harness::Protocol;
 ClusterConfig Cfg(uint64_t seed) {
   return testutil::Cfg(3, seed, Protocol::kVirtualPartition,
                        /*n_objects=*/2);
-}
-
-// A cluster is not required to exercise NodeBase: TestEnv plus
-// NodeEnv::ForTest wires protocol nodes directly on the sim substrate.
-TEST(NodeEnvForTest, RunsTransactionsWithoutHarness) {
-  core::TestEnv env;
-  std::vector<std::unique_ptr<core::VpNode>> nodes;
-  for (ProcessorId p = 0; p < env.size(); ++p) {
-    nodes.push_back(std::make_unique<core::VpNode>(
-        p, core::NodeEnv::ForTest(env, p), core::VpConfig()));
-  }
-  for (auto& node : nodes) node->Start();
-  env.RunFor(sim::Seconds(1));
-  ASSERT_TRUE(nodes[0]->assigned());
-
-  testutil::TxnOutcome out;
-  testutil::StartScriptedTxn(*nodes[0],
-                             {testutil::Write(0, "direct"),
-                              testutil::Read(0)},
-                             &out);
-  env.RunFor(sim::Seconds(1));
-  ASSERT_TRUE(out.done);
-  EXPECT_TRUE(out.committed) << out.failure.ToString();
-  ASSERT_EQ(out.reads.size(), 1u);
-  EXPECT_EQ(out.reads[0], "direct");
-  // The write reached every copy through the normal physical path.
-  EXPECT_EQ(env.store(1).Read(0).value().value, "direct");
 }
 
 TEST(DecisionLog, PresumedAbortSemantics) {

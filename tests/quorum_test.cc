@@ -144,7 +144,6 @@ TEST(Quorum, WeightedPlacementRespectsVotes) {
   config.protocol = Protocol::kQuorum;
   config.quorum.read_quorum = 2;
   config.quorum.write_quorum = 2;
-  config.has_custom_placement = true;
   // Object 0: weight 2 at p0, weight 1 at p1 (total 3; quorum 2).
   config.placement.AddCopy(0, 0, 2);
   config.placement.AddCopy(0, 1, 1);

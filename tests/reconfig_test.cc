@@ -82,7 +82,6 @@ TEST(Reconfig, AddCopyCommitsAtVpBoundaryAndBringsNewReplicaCurrent) {
   config.placement.AddCopy(0, 1, 1);
   config.placement.AddCopy(0, 2, 1);
   for (ProcessorId p = 0; p < 4; ++p) config.placement.AddCopy(1, p, 1);
-  config.has_custom_placement = true;
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(2));
 

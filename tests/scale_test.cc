@@ -22,7 +22,6 @@ TEST(Scale, FifteenNodesConvergeAndServe) {
   // δ must bound the worst one-hop delay: max_delay (5 ms) × WAN cost 3.
   config.vp.delta = sim::Millis(15);
   // Partial replication: object i lives at {i, i+1, ..., i+4} mod 15.
-  config.has_custom_placement = true;
   for (ObjectId obj = 0; obj < 10; ++obj) {
     for (uint32_t k = 0; k < 5; ++k) {
       config.placement.AddCopy(obj, (obj + k) % 15, 1);

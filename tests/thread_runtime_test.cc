@@ -436,6 +436,74 @@ TEST(ThreadProtocols, RowaConcurrentTxnsAre1SR) {
   RunConcurrentWorkload(harness::Protocol::kRowa);
 }
 
+TEST(ThreadProtocols, CustomPlacementAndInitialValuesAre1SR) {
+  // Placement and initial values reach the thread backend the same way
+  // they reach the simulator. A partial weighted placement over four
+  // processors: p3 holds no copy of object 0, p1 and p2 none of object 2,
+  // so some coordinators read and write only remotely.
+  using TC = harness::ThreadCluster;
+  harness::ThreadClusterConfig cfg;
+  cfg.n_processors = 4;
+  cfg.protocol = harness::Protocol::kVirtualPartition;
+  cfg.placement.AddCopy(0, 0, 2);
+  cfg.placement.AddCopy(0, 1, 1);
+  cfg.placement.AddCopy(0, 2, 1);
+  for (ProcessorId p = 1; p < 4; ++p) cfg.placement.AddCopy(1, p, 1);
+  cfg.placement.AddCopy(2, 0, 1);
+  cfg.placement.AddCopy(2, 3, 1);
+  cfg.initial_value = "10";
+  cfg.initial_values = {{0, "100"}, {2, "40"}};
+  TC cluster(cfg);
+
+  constexpr int kObjects = 3;
+  constexpr std::array<int64_t, kObjects> kInitial = {100, 10, 40};
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 10;
+  std::array<std::atomic<uint64_t>, kObjects> committed_per_obj{};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      int done = 0;
+      for (int attempt = 0; done < kTxnsPerThread && attempt < 2000;
+           ++attempt) {
+        const ObjectId obj = static_cast<ObjectId>((t + done) % kObjects);
+        TC::TxnResult r = cluster.RunTxn(
+            static_cast<ProcessorId>(t),
+            {TC::Increment(obj), TC::Read((obj + 1) % kObjects)});
+        if (r.committed) {
+          committed_per_obj[obj].fetch_add(1);
+          ++done;
+        } else {
+          SleepMs(2);
+        }
+      }
+      EXPECT_EQ(done, kTxnsPerThread) << "client thread starved";
+    });
+  }
+  for (auto& c : clients) c.join();
+
+  // Coordinated at p3, which holds no copy of object 0.
+  TC::TxnResult readback =
+      cluster.RunTxn(3, {TC::Read(0), TC::Read(1), TC::Read(2)});
+  ASSERT_TRUE(readback.committed) << readback.failure.ToString();
+  ASSERT_EQ(readback.reads.size(), size_t{kObjects});
+  for (int obj = 0; obj < kObjects; ++obj) {
+    EXPECT_EQ(readback.reads[obj],
+              std::to_string(kInitial[obj] + committed_per_obj[obj].load()))
+        << "lost or phantom increment on object " << obj;
+  }
+
+  cluster.Stop();
+  for (ProcessorId p = 0; p < 4; ++p) {
+    for (ObjectId obj = 0; obj < kObjects; ++obj) {
+      EXPECT_EQ(cluster.store(p).HasCopy(obj), cfg.placement.HasCopy(obj, p))
+          << "p" << p << " object " << obj;
+    }
+  }
+  auto cert = cluster.Certify();
+  EXPECT_TRUE(cert.ok) << cert.detail;
+}
+
 TEST(ThreadProtocols, ReconfigCommitsUnderConcurrentTraffic) {
   // Online reconfiguration on real threads: client threads hammer the
   // cluster while the main thread proposes an epoch advance. TSan watches
