@@ -46,7 +46,7 @@ Row RunSide(harness::Protocol protocol, bool majority_side, uint64_t seed) {
   opts.client.seed = seed;
   opts.client_at = majority_side ? std::vector<ProcessorId>{2, 3, 4}
                                  : std::vector<ProcessorId>{0, 1};
-  opts.certify = false;  // Counted separately in bench_correctness.
+  opts.certify = false;  // 1SR is certified by the nemesis campaigns.
   RunResult r = RunWorkload(cluster, opts);
   return Row{r.committed, r.committed + r.aborted};
 }

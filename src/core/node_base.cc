@@ -23,6 +23,12 @@ NodeBase::NodeBase(ProcessorId id, NodeEnv env,
   ctr_phys_reads_served_ = metrics_->counter("node.phys_reads_served");
   ctr_phys_writes_served_ = metrics_->counter("node.phys_writes_served");
   ctr_phys_nacks_ = metrics_->counter("node.phys_nacks");
+  ctr_phys_reads_issued_ = metrics_->counter("phys.reads_issued");
+  ctr_phys_reads_completed_ = metrics_->counter("phys.reads_completed");
+  ctr_phys_writes_issued_ = metrics_->counter("phys.writes_issued");
+  ctr_phys_writes_completed_ = metrics_->counter("phys.writes_completed");
+  hist_phys_read_us_ = metrics_->histogram("phys.read_us");
+  hist_phys_write_us_ = metrics_->histogram("phys.write_us");
   hist_txn_us_ = metrics_->histogram("txn.duration_us");
   hist_outcome_ack_us_ = metrics_->histogram("txn.outcome_ack_us");
   if (env_.stable != nullptr) {
@@ -163,9 +169,10 @@ void NodeBase::Begin(TxnId txn) {
   rec.begun_at = env_.clock->Now();
   decisions_.MarkActive(txn);
   env_.recorder->TxnBegin(txn, id_, rec.begun_at);
-  ++stats_.txns_begun;
-  tracer_->AsyncBegin(rec.trace, id_, rec.begun_at, "txn", "txn",
-                      {{"txn", txn.ToString()}});
+  if (tracer_->enabled()) {
+    tracer_->AsyncBegin(rec.trace, id_, rec.begun_at, "txn", "txn",
+                        {{"txn", txn.ToString()}});
+  }
   Fdr(obs::FdrKind::kTxnBegin, txn, rec.epoch);
 }
 
@@ -218,7 +225,6 @@ void NodeBase::Decide(TxnId txn, TxnRec* rec, bool committed) {
   rec->decided_at = env_.clock->Now();
   if (committed) {
     env_.recorder->TxnCommit(txn, rec->decided_at);
-    ++stats_.txns_committed;
   } else {
     env_.recorder->TxnAbort(txn, rec->decided_at);
     ++stats_.txns_aborted;
@@ -227,31 +233,36 @@ void NodeBase::Decide(TxnId txn, TxnRec* rec, bool committed) {
       static_cast<uint64_t>(rec->decided_at - rec->begun_at);
   hist_txn_us_->Observe(total_us);
   Fdr(obs::FdrKind::kTxnDecide, txn, committed ? 1 : 0, total_us);
-  obs::Tracer::Args end_args = {{"outcome", committed ? "commit" : "abort"}};
+  obs::TxnPathTracker::Breakdown b;
   if (committed) {
     // Critical-path attribution: committed transactions only — an abort's
     // path is cut short wherever the failure happened and would pollute
     // the latency decomposition.
-    const obs::TxnPathTracker::Breakdown b = rec->path.Finalize(total_us);
+    b = rec->path.Finalize(total_us);
     path_hists_.Observe(b);
-    end_args.emplace_back("path.lock_wait_us",
-                          std::to_string(b.lock_wait_us));
-    end_args.emplace_back("path.quorum_rtt_us",
-                          std::to_string(b.quorum_rtt_us));
-    end_args.emplace_back("path.fsync_us", std::to_string(b.fsync_us));
-    end_args.emplace_back("path.retransmit_stall_us",
-                          std::to_string(b.retransmit_stall_us));
-    end_args.emplace_back("path.queueing_us",
-                          std::to_string(b.queueing_us));
   }
-  tracer_->AsyncEnd(rec->trace, id_, rec->decided_at, "txn", "txn",
-                    std::move(end_args));
   rec->outcome_unacked = rec->participants;
-  if (!rec->outcome_unacked.empty()) {
-    // The 2PC outcome phase: broadcast until the last participant acks.
-    tracer_->AsyncBegin(rec->trace, id_, rec->decided_at, "2pc.outcome",
-                        "txn", {{"participants",
-                                 std::to_string(rec->participants.size())}});
+  if (tracer_->enabled()) {
+    obs::Tracer::Args end_args = {{"outcome", committed ? "commit" : "abort"}};
+    if (committed) {
+      end_args.emplace_back("path.lock_wait_us",
+                            std::to_string(b.lock_wait_us));
+      end_args.emplace_back("path.quorum_rtt_us",
+                            std::to_string(b.quorum_rtt_us));
+      end_args.emplace_back("path.fsync_us", std::to_string(b.fsync_us));
+      end_args.emplace_back("path.retransmit_stall_us",
+                            std::to_string(b.retransmit_stall_us));
+      end_args.emplace_back("path.queueing_us",
+                            std::to_string(b.queueing_us));
+    }
+    tracer_->AsyncEnd(rec->trace, id_, rec->decided_at, "txn", "txn",
+                      std::move(end_args));
+    if (!rec->outcome_unacked.empty()) {
+      // The 2PC outcome phase: broadcast until the last participant acks.
+      tracer_->AsyncBegin(rec->trace, id_, rec->decided_at, "2pc.outcome",
+                          "txn", {{"participants",
+                                   std::to_string(rec->participants.size())}});
+    }
   }
   BroadcastOutcome(txn);
 }
@@ -289,9 +300,90 @@ void NodeBase::ScheduleOutcomeRetry(TxnId txn) {
       });
 }
 
+runtime::TimePoint NodeBase::OpIssued(TxnRec* rec, bool is_write) {
+  const runtime::TimePoint now = env_.clock->Now();
+  (is_write ? ctr_phys_writes_issued_ : ctr_phys_reads_issued_)->Increment();
+  rec->path.OpIssued(now);
+  return now;
+}
+
+void NodeBase::ReadDone(TxnId txn, ObjectId obj, const ReadResult& r,
+                        runtime::TimePoint issued_at, uint64_t lock_wait_us) {
+  const runtime::TimePoint now = env_.clock->Now();
+  ++stats_.reads_ok;
+  TxnRec* rec = FindTxn(txn);
+  if (rec != nullptr) rec->path.OpCompleted(now, lock_wait_us);
+  env_.recorder->TxnRead(txn, obj, r.value, r.date, now);
+  ctr_phys_reads_completed_->Increment();
+  const uint64_t dur_us = static_cast<uint64_t>(now - issued_at);
+  hist_phys_read_us_->Observe(dur_us);
+  if (tracer_->enabled() && rec != nullptr) {
+    tracer_->Complete(rec->trace, id_, issued_at, dur_us, "phys.read", "phys",
+                      {{"obj", std::to_string(obj)},
+                       {"holder", std::to_string(r.served_by)}});
+  }
+}
+
+void NodeBase::WriteDone(TxnId txn, ObjectId obj, const Value& value,
+                         runtime::TimePoint issued_at,
+                         uint64_t lock_wait_us) {
+  const runtime::TimePoint now = env_.clock->Now();
+  TxnRec* rec = FindTxn(txn);
+  if (rec != nullptr) rec->path.OpCompleted(now, lock_wait_us);
+  env_.recorder->TxnWrite(txn, obj, value, now);
+  ctr_phys_writes_completed_->Increment();
+  const uint64_t dur_us = static_cast<uint64_t>(now - issued_at);
+  hist_phys_write_us_->Observe(dur_us);
+  if (tracer_->enabled() && rec != nullptr) {
+    tracer_->Complete(rec->trace, id_, issued_at, dur_us, "phys.write",
+                      "phys", {{"obj", std::to_string(obj)}});
+  }
+}
+
+void NodeBase::OpFailed(TxnId txn, uint64_t lock_wait_us) {
+  if (TxnRec* rec = FindTxn(txn); rec != nullptr) {
+    rec->doomed = true;
+    rec->path.OpCompleted(env_.clock->Now(), lock_wait_us);
+  }
+  InternalAbort(txn);
+}
+
 // ---------------------------------------------------------------------------
 // Participant side.
 // ---------------------------------------------------------------------------
+
+void NodeBase::PhysNack(ProcessorId reply_to, bool is_write, uint64_t op_id,
+                        std::string reason, uint64_t trace) {
+  ctr_phys_nacks_->Increment();
+  if (is_write) {
+    SendPhys(reply_to, msg::kPhysWriteReply,
+             msg::PhysWriteReply{op_id, false, std::move(reason)}, nullptr,
+             trace);
+  } else {
+    SendPhys(reply_to, msg::kPhysReadReply,
+             msg::PhysReadReply{op_id, false, std::move(reason), Value(),
+                                kEpochDate},
+             nullptr, trace);
+  }
+}
+
+void NodeBase::PhysServed(TxnId txn, ObjectId obj, bool is_write,
+                          const Value& value) {
+  if (txn.valid()) {
+    RemoteTxn& rt = remote_txns_[txn];
+    rt.coordinator = txn.coordinator;
+    if (is_write) rt.staged.insert(obj);
+    rt.last_activity = env_.clock->Now();
+    env_.recorder->PhysicalOp(id_, txn, obj, is_write, env_.clock->Now());
+  }
+  (is_write ? ctr_phys_writes_served_ : ctr_phys_reads_served_)->Increment();
+  // Recovery reads carry no transaction (the online probes must not key
+  // ordering rules on the synthetic lock holder), but their served value
+  // IS hashed: a rotted image served verbatim through copy-update is
+  // exactly what the durable-read probe exists for.
+  Fdr(is_write ? obs::FdrKind::kPhysWrite : obs::FdrKind::kPhysRead, txn, obj,
+      obs::FlightRecorder::HashValue(value));
+}
 
 Status NodeBase::ValidateAccess(const TxnId&, VpId, ObjectId,
                                 const std::set<ProcessorId>&, bool, bool) {
@@ -309,11 +401,7 @@ void NodeBase::HandlePhysRead(const net::Message& m) {
   const uint64_t trace = m.trace;
   if (!req.recovery && remote_outcomes_.count(req.txn) > 0) {
     // Duplicate/reordered request for an already-decided transaction.
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false, "stale-txn", Value(),
-                            kEpochDate},
-         nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/false, req.op_id, "stale-txn", trace);
     return;
   }
   if (!req.recovery && EpochGated() && req.epoch != CurrentEpoch()) {
@@ -322,30 +410,20 @@ void NodeBase::HandlePhysRead(const net::Message& m) {
     // (Recovery reads are exempt — they are how a new epoch's copies are
     // brought current — and 2PC outcome traffic never passes through here,
     // so in-flight transactions still resolve across the boundary.)
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false,
-                            req.epoch < CurrentEpoch() ? "stale-epoch"
-                                                       : "future-epoch",
-                            Value(), kEpochDate},
-         nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/false, req.op_id,
+             req.epoch < CurrentEpoch() ? "stale-epoch" : "future-epoch",
+             trace);
     return;
   }
   Status admit = ValidateAccess(req.txn, req.v, req.obj, req.footprint,
                                 req.recovery, /*is_write=*/false);
   if (!admit.ok()) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false, std::string(admit.message()),
-                            Value(), kEpochDate},
-         nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/false, req.op_id,
+             std::string(admit.message()), trace);
     return;
   }
   if (!env_.store->HasCopy(req.obj)) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysReadReply,
-         msg::PhysReadReply{req.op_id, false, "no-copy", Value(), kEpochDate},
-         nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/false, req.op_id, "no-copy", trace);
     return;
   }
   const TxnId locker = req.recovery ? SyntheticTxnId() : req.txn;
@@ -361,51 +439,30 @@ void NodeBase::HandlePhysRead(const net::Message& m) {
       [this, locker, obj, op_id, txn, recovery, reply_to, trace,
        wait_start](Status s) {
         if (!s.ok()) {
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysReadReply,
-               msg::PhysReadReply{op_id, false, "lock-timeout", Value(),
-                                  kEpochDate},
-               nullptr, trace);
+          PhysNack(reply_to, /*is_write=*/false, op_id, "lock-timeout",
+                   trace);
           return;
         }
         if (!recovery && remote_outcomes_.count(txn) > 0) {
           // The outcome landed while this request waited for the lock.
           env_.locks->ReleaseAll(locker);
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysReadReply,
-               msg::PhysReadReply{op_id, false, "stale-txn", Value(),
-                                  kEpochDate},
-               nullptr, trace);
+          PhysNack(reply_to, /*is_write=*/false, op_id, "stale-txn", trace);
           return;
         }
         auto version = env_.store->Read(obj);
         VP_CHECK(version.ok());
-        if (!recovery) {
-          // Read-your-own-writes: a transaction re-reading a copy it has
-          // staged a write on must see that staged value.
-          if (auto staged = env_.store->StagedValue(txn, obj);
-              staged.has_value()) {
-            version = *staged;
-          }
-        }
         if (recovery) {
           // Recovery reads release their lock immediately (§6 condition
           // (3) is met by having waited for any write lock).
           env_.locks->ReleaseAll(locker);
-        } else {
-          RemoteTxn& rt = remote_txns_[txn];
-          rt.coordinator = txn.coordinator;
-          rt.last_activity = env_.clock->Now();
-          env_.recorder->PhysicalOp(id_, txn, obj, /*is_write=*/false,
-                                    env_.clock->Now());
+        } else if (auto staged = env_.store->StagedValue(txn, obj);
+                   staged.has_value()) {
+          // Read-your-own-writes: a transaction re-reading a copy it has
+          // staged a write on must see that staged value.
+          version = *staged;
         }
-        ctr_phys_reads_served_->Increment();
-        // Recovery reads carry no transaction (the online probes must not
-        // key ordering rules on the synthetic lock holder), but their
-        // served value IS hashed: a rotted image served verbatim through
-        // copy-update is exactly what the durable-read probe exists for.
-        Fdr(obs::FdrKind::kPhysRead, recovery ? TxnId{} : txn, obj,
-            obs::FlightRecorder::HashValue(version.value().value));
+        PhysServed(recovery ? TxnId{} : txn, obj, /*is_write=*/false,
+                   version.value().value);
         SendPhys(reply_to, msg::kPhysReadReply,
              msg::PhysReadReply{op_id, true, "", version.value().value,
                                 version.value().date,
@@ -422,33 +479,24 @@ void NodeBase::HandlePhysWrite(const net::Message& m) {
   const uint64_t trace = m.trace;
   if (remote_outcomes_.count(req.txn) > 0) {
     // Duplicate/reordered request for an already-decided transaction.
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false, "stale-txn"}, nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/true, req.op_id, "stale-txn", trace);
     return;
   }
   if (EpochGated() && req.epoch != CurrentEpoch()) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false,
-                             req.epoch < CurrentEpoch() ? "stale-epoch"
-                                                        : "future-epoch"},
-         nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/true, req.op_id,
+             req.epoch < CurrentEpoch() ? "stale-epoch" : "future-epoch",
+             trace);
     return;
   }
   Status admit = ValidateAccess(req.txn, req.v, req.obj, req.footprint,
                                 /*is_recovery=*/false, /*is_write=*/true);
   if (!admit.ok()) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false, std::string(admit.message())},
-         nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/true, req.op_id,
+             std::string(admit.message()), trace);
     return;
   }
   if (!env_.store->HasCopy(req.obj)) {
-    ctr_phys_nacks_->Increment();
-    SendPhys(reply_to, msg::kPhysWriteReply,
-         msg::PhysWriteReply{req.op_id, false, "no-copy"}, nullptr, trace);
+    PhysNack(reply_to, /*is_write=*/true, req.op_id, "no-copy", trace);
     return;
   }
   const TxnId txn = req.txn;
@@ -463,38 +511,22 @@ void NodeBase::HandlePhysWrite(const net::Message& m) {
       [this, txn, obj, op_id, value, date, epoch, reply_to, trace,
        wait_start](Status s) {
         if (!s.ok()) {
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysWriteReply,
-               msg::PhysWriteReply{op_id, false, "lock-timeout"}, nullptr,
-               trace);
+          PhysNack(reply_to, /*is_write=*/true, op_id, "lock-timeout", trace);
           return;
         }
         if (remote_outcomes_.count(txn) > 0) {
           // The outcome landed while this request waited for the lock.
           env_.locks->ReleaseAll(txn);
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysWriteReply,
-               msg::PhysWriteReply{op_id, false, "stale-txn"}, nullptr,
-               trace);
+          PhysNack(reply_to, /*is_write=*/true, op_id, "stale-txn", trace);
           return;
         }
         Status st = env_.store->StageWrite(txn, obj, value, date, epoch);
         if (!st.ok()) {
-          ctr_phys_nacks_->Increment();
-          SendPhys(reply_to, msg::kPhysWriteReply,
-               msg::PhysWriteReply{op_id, false, std::string(st.message())},
-               nullptr, trace);
+          PhysNack(reply_to, /*is_write=*/true, op_id,
+                   std::string(st.message()), trace);
           return;
         }
-        RemoteTxn& rt = remote_txns_[txn];
-        rt.coordinator = txn.coordinator;
-        rt.staged.insert(obj);
-        rt.last_activity = env_.clock->Now();
-        env_.recorder->PhysicalOp(id_, txn, obj, /*is_write=*/true,
-                                  env_.clock->Now());
-        ctr_phys_writes_served_->Increment();
-        Fdr(obs::FdrKind::kPhysWrite, txn, obj,
-            obs::FlightRecorder::HashValue(value));
+        PhysServed(txn, obj, /*is_write=*/true, value);
         SendPhys(reply_to, msg::kPhysWriteReply,
              msg::PhysWriteReply{op_id, true, "",
                                  static_cast<uint64_t>(env_.clock->Now() -

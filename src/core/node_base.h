@@ -6,7 +6,10 @@
 //  * participant-side physical access: strict-2PL locking, write staging,
 //    outcome application, and in-doubt resolution by querying the
 //    coordinator,
-//  * per-node protocol statistics.
+//  * per-node protocol statistics,
+//  * one emission point per protocol event (logical op issued / read done /
+//    write done / failed, participant nack / served), each fanning out to
+//    the recorder, metrics, tracer, flight recorder and ProtocolStats.
 //
 // Derived protocols plug in their policies via the Validate*/MaybeDefer
 // hooks and implement the logical read/write translation.
@@ -87,16 +90,7 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void Abort(TxnId txn) override;
   void Commit(TxnId txn, CommitCallback cb) override;
   ProcessorId processor() const override { return id_; }
-  const ProtocolStats& stats() const override {
-    if (rel_ != nullptr) {
-      const net::ReliableStats& rs = rel_->stats();
-      stats_.rel_sends = rs.sends;
-      stats_.rel_retransmits = rs.retransmits;
-      stats_.rel_timeouts = rs.timed_out;
-      stats_.rel_dups_suppressed = rs.dup_suppressed;
-    }
-    return stats_;
-  }
+  const ProtocolStats& stats() const override { return stats_; }
 
   /// Allocates a fresh client transaction id coordinated here.
   TxnId NewTxnId() { return TxnId{id_, next_txn_seq_++}; }
@@ -185,6 +179,27 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void Decide(TxnId txn, TxnRec* rec, bool committed);
   void BroadcastOutcome(TxnId txn);
 
+  // --- coordinator-side logical-op events ---
+  // Each protocol reports a logical operation's life through these, so
+  // every protocol feeds the same sinks: the critical path, the recorder
+  // (the certifier's input), the phys.* metrics, the phys.read/phys.write
+  // spans and ProtocolStats. The caller keeps its own bookkeeping and
+  // delivers the result to the client callback afterwards.
+  /// A logical read/write of `rec`'s transaction issued its first physical
+  /// request. Returns the issue time, which the caller hands back to
+  /// ReadDone/WriteDone.
+  runtime::TimePoint OpIssued(TxnRec* rec, bool is_write);
+  /// The logical read of `obj` resolved to `r`. `lock_wait_us` is the
+  /// slowest participant-reported lock wait of the op.
+  void ReadDone(TxnId txn, ObjectId obj, const ReadResult& r,
+                runtime::TimePoint issued_at, uint64_t lock_wait_us);
+  /// The logical write of `value` to `obj` reached every copy it needs.
+  void WriteDone(TxnId txn, ObjectId obj, const Value& value,
+                 runtime::TimePoint issued_at, uint64_t lock_wait_us);
+  /// An issued logical op failed (nack, timeout, crash): closes its
+  /// critical-path window, dooms and aborts the transaction.
+  void OpFailed(TxnId txn, uint64_t lock_wait_us);
+
   // --- participant-side helpers ---
   void HandlePhysRead(const net::Message& m);
   void HandlePhysWrite(const net::Message& m);
@@ -193,6 +208,13 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void HandleTxnOutcomeAck(const net::Message& m);
   void HandleTxnStatusQuery(const net::Message& m);
   void HandleTxnStatusReply(const net::Message& m);
+  /// Rejects a physical read/write request with `reason`.
+  void PhysNack(ProcessorId reply_to, bool is_write, uint64_t op_id,
+                std::string reason, uint64_t trace);
+  /// A physical access to the local copy of `obj` was served. `txn` is
+  /// TxnId{} for a recovery read, which touches no participant record and
+  /// no conflict graph. `value` is the value read or staged.
+  void PhysServed(TxnId txn, ObjectId obj, bool is_write, const Value& value);
   /// Applies a learned outcome to local stages and locks.
   void ApplyOutcomeLocally(TxnId txn, bool committed);
   void InDoubtSweep();
@@ -298,12 +320,17 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   obs::Counter* ctr_phys_reads_served_ = nullptr;
   obs::Counter* ctr_phys_writes_served_ = nullptr;
   obs::Counter* ctr_phys_nacks_ = nullptr;
+  obs::Counter* ctr_phys_reads_issued_ = nullptr;
+  obs::Counter* ctr_phys_reads_completed_ = nullptr;
+  obs::Counter* ctr_phys_writes_issued_ = nullptr;
+  obs::Counter* ctr_phys_writes_completed_ = nullptr;
+  obs::Histogram* hist_phys_read_us_ = nullptr;
+  obs::Histogram* hist_phys_write_us_ = nullptr;
   obs::Histogram* hist_txn_us_ = nullptr;
   obs::Histogram* hist_outcome_ack_us_ = nullptr;
   obs::PathHistograms path_hists_;
 
-  /// Mutable: stats() refreshes the rel_* counters from the channel.
-  mutable ProtocolStats stats_;
+  ProtocolStats stats_;
   uint64_t next_txn_seq_ = 1;
   uint64_t synth_seq_ = 1;
   uint64_t next_op_id_ = 1;

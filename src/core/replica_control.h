@@ -35,33 +35,20 @@ using ReadCallback = std::function<void(Result<ReadResult>)>;
 using WriteCallback = std::function<void(Status)>;
 using CommitCallback = std::function<void(Status)>;
 
-/// Per-node protocol counters, comparable across protocols.
+/// Per-node protocol counters, comparable across protocols. Per-op
+/// latencies and outcome counts live in the metrics registry (phys.*,
+/// txn.*), fed by the same NodeBase emission points.
 struct ProtocolStats {
-  uint64_t txns_begun = 0;
-  uint64_t txns_committed = 0;
   uint64_t txns_aborted = 0;
 
   uint64_t reads_attempted = 0;
   uint64_t reads_ok = 0;
-  uint64_t reads_unavailable = 0;  // Rejected by the majority rule / quorum.
-  uint64_t reads_failed = 0;       // Timeout / conflict after acceptance.
-  uint64_t writes_attempted = 0;
-  uint64_t writes_ok = 0;
-  uint64_t writes_unavailable = 0;
-  uint64_t writes_failed = 0;
 
   /// Physical accesses issued (messages to copy holders, self included).
   uint64_t phys_reads_sent = 0;
   uint64_t phys_writes_sent = 0;
 
-  /// Reliable-delivery channel counters (all zero when the layer is off).
-  uint64_t rel_sends = 0;            // Messages entrusted to the channel.
-  uint64_t rel_retransmits = 0;      // Transmissions beyond each first one.
-  uint64_t rel_timeouts = 0;         // Sends abandoned at their deadline.
-  uint64_t rel_dups_suppressed = 0;  // Duplicate envelopes deduplicated.
-
   /// VP protocol only.
-  uint64_t vp_creations_initiated = 0;
   uint64_t vp_joins = 0;
   uint64_t recovery_reads_sent = 0;
   uint64_t recovery_skipped_objects = 0;  // §6 previous-vp optimization.

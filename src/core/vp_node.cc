@@ -14,10 +14,6 @@ VpNode::VpNode(ProcessorId id, NodeEnv env, VpConfig config)
       max_id_{0, id},
       lview_{id},
       monitor_timer_(env.executor) {
-  ctr_phys_reads_issued_ = metrics_->counter("phys.reads_issued");
-  ctr_phys_reads_completed_ = metrics_->counter("phys.reads_completed");
-  ctr_phys_writes_issued_ = metrics_->counter("phys.writes_issued");
-  ctr_phys_writes_completed_ = metrics_->counter("phys.writes_completed");
   ctr_view_changes_ = metrics_->counter("vp.view_changes");
   ctr_conv_within_delta_ = metrics_->counter("vp.convergence_within_delta");
   ctr_conv_exceeded_delta_ =
@@ -26,8 +22,6 @@ VpNode::VpNode(ProcessorId id, NodeEnv env, VpConfig config)
   ctr_reconfigs_committed_ = metrics_->counter("vp.reconfigs_committed");
   ctr_reconfigs_deferred_ = metrics_->counter("vp.reconfigs_deferred");
   gauge_epoch_ = metrics_->gauge("vp.epoch");
-  hist_phys_read_us_ = metrics_->histogram("phys.read_us");
-  hist_phys_write_us_ = metrics_->histogram("phys.write_us");
   hist_view_conv_us_ = metrics_->histogram("vp.view_convergence_us");
   hist_reconfig_us_ = metrics_->histogram("vp.reconfig_us");
 }
@@ -167,7 +161,6 @@ void VpNode::Depart() {
 }
 
 void VpNode::StartCreateVp(VpId new_id) {
-  ++stats_.vp_creations_initiated;
   create_open_ = true;
   ++create_generation_;
   create_id_ = new_id;
@@ -1100,8 +1093,6 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
   TxnRec* rec = nullptr;
   Status admit = AdmitLogicalOp(txn, obj, &rec);
   if (!admit.ok()) {
-    if (admit.IsUnavailable()) ++stats_.reads_unavailable;
-    else ++stats_.reads_failed;
     cb(admit);
     return;
   }
@@ -1111,8 +1102,6 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
   pr.txn = txn;
   pr.obj = obj;
   pr.cb = std::move(cb);
-  pr.issued_at = env_.clock->Now();
-  pr.trace = rec->trace;
   pr.target = Nearest(obj);
   VP_CHECK(pr.target != kInvalidProcessor);
   if (config_.read_retry) {
@@ -1126,43 +1115,37 @@ void VpNode::LogicalRead(TxnId txn, ObjectId obj, ReadCallback cb) {
     std::sort(rest.begin(), rest.end());
     for (auto& [cost, q] : rest) pr.fallbacks.push_back(q);
   }
-  pr.timeout_event = env_.executor->ScheduleAfter(
+  pr.timeout_event = ArmReadTimeout(op_id);
+
+  ++stats_.phys_reads_sent;
+  pr.issued_at = OpIssued(rec, /*is_write=*/false);
+  SendPhys(pr.target, msg::kPhysRead,
+           msg::PhysRead{txn, obj, cur_id_, epoch_, /*recovery=*/false,
+                         /*for_update=*/false, op_id, rec->participants},
+           nullptr, rec->trace, RetransmitToPath(txn));
+  pending_reads_[op_id] = std::move(pr);
+}
+
+runtime::TaskId VpNode::ArmReadTimeout(uint64_t op_id) {
+  return env_.executor->ScheduleAfter(
       2 * config_.delta + config_.lock_timeout, [this, op_id]() {
         auto it = pending_reads_.find(op_id);
         if (it == pending_reads_.end()) return;
         // No response within the deadline: the view is suspect (Fig. 10
         // line 5's no-response handler).
-        PendingRead pr2 = std::move(it->second);
+        PendingRead pr = std::move(it->second);
         pending_reads_.erase(it);
-        ++stats_.reads_failed;
-        TxnRec* r = FindTxn(pr2.txn);
-        if (r != nullptr) {
-          r->doomed = true;
-          r->path.OpCompleted(env_.clock->Now(), 0);
-        }
-        InternalAbort(pr2.txn);
+        OpFailed(pr.txn, /*lock_wait_us=*/0);
         if (!Crashed()) CreateNewVp();
-        pr2.cb(Status::Timeout("no response from copy holder"));
+        pr.cb(Status::Timeout("no response from copy holder"));
       });
-
-  ++stats_.phys_reads_sent;
-  ctr_phys_reads_issued_->Increment();
-  rec->path.OpIssued(env_.clock->Now());
-  SendPhys(pr.target, msg::kPhysRead,
-           msg::PhysRead{txn, obj, cur_id_, epoch_, /*recovery=*/false,
-                         /*for_update=*/false, op_id, rec->participants},
-           nullptr, pr.trace, RetransmitToPath(txn));
-  pending_reads_[op_id] = std::move(pr);
 }
 
 void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                           WriteCallback cb) {
-  ++stats_.writes_attempted;
   TxnRec* rec = nullptr;
   Status admit = AdmitLogicalOp(txn, obj, &rec);
   if (!admit.ok()) {
-    if (admit.IsUnavailable()) ++stats_.writes_unavailable;
-    else ++stats_.writes_failed;
     cb(admit);
     return;
   }
@@ -1173,8 +1156,6 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   pw.obj = obj;
   pw.value = value;
   pw.cb = std::move(cb);
-  pw.issued_at = env_.clock->Now();
-  pw.trace = rec->trace;
   for (ProcessorId q : CurrentPlacement().CopyHolders(obj)) {
     if (lview_.count(q) > 0) pw.awaiting.insert(q);
   }
@@ -1185,26 +1166,19 @@ void VpNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
         if (it == pending_writes_.end()) return;
         PendingWrite pw2 = std::move(it->second);
         pending_writes_.erase(it);
-        ++stats_.writes_failed;
-        TxnRec* r = FindTxn(pw2.txn);
-        if (r != nullptr) {
-          r->doomed = true;
-          r->path.OpCompleted(env_.clock->Now(), pw2.max_lock_wait_us);
-        }
-        InternalAbort(pw2.txn);
+        OpFailed(pw2.txn, pw2.max_lock_wait_us);
         if (!Crashed()) CreateNewVp();
         pw2.cb(Status::Timeout("write-all incomplete"));
       });
 
   const std::set<ProcessorId> targets = pw.awaiting;
-  pending_writes_[op_id] = std::move(pw);
+  PendingWrite& live = pending_writes_[op_id] = std::move(pw);
   // Targets become participants as soon as the request is issued: they may
   // stage the write even if this coordinator later aborts, so the outcome
   // broadcast must reach them.
   const std::set<ProcessorId> footprint = rec->participants;
   for (ProcessorId q : targets) rec->participants.insert(q);
-  ctr_phys_writes_issued_->Increment();
-  rec->path.OpIssued(env_.clock->Now());
+  live.issued_at = OpIssued(rec, /*is_write=*/true);
   for (ProcessorId q : targets) {
     ++stats_.phys_writes_sent;
     SendPhys(q, msg::kPhysWrite,
@@ -1356,50 +1330,27 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
         return true;
       }
       if (body.ok) {
-        ++stats_.reads_ok;
         rec->participants.insert(m.src);
-        const runtime::TimePoint now = env_.clock->Now();
-        rec->path.OpCompleted(now, body.lock_wait_us);
-        env_.recorder->TxnRead(pr.txn, pr.obj, body.value, body.date, now);
-        ctr_phys_reads_completed_->Increment();
-        hist_phys_read_us_->Observe(
-            static_cast<uint64_t>(now - pr.issued_at));
-        tracer_->Complete(pr.trace, id_, pr.issued_at,
-                          static_cast<uint64_t>(now - pr.issued_at),
-                          "phys.read", "phys",
-                          {{"obj", std::to_string(pr.obj)},
-                           {"holder", std::to_string(m.src)}});
-        pr.cb(ReadResult{body.value, body.date, m.src});
+        const ReadResult r{body.value, body.date, m.src};
+        ReadDone(pr.txn, pr.obj, r, pr.issued_at, body.lock_wait_us);
+        pr.cb(r);
       } else if (config_.read_retry && !pr.fallbacks.empty() &&
                  body.error != "wrong-vp") {
         // R2's optional retry at the next-nearest copy.
         const uint64_t op_id = next_op_id_++;
         pr.target = pr.fallbacks.front();
         pr.fallbacks.erase(pr.fallbacks.begin());
-        pr.timeout_event = env_.executor->ScheduleAfter(
-            2 * config_.delta + config_.lock_timeout, [this, op_id]() {
-              auto it2 = pending_reads_.find(op_id);
-              if (it2 == pending_reads_.end()) return;
-              PendingRead pr2 = std::move(it2->second);
-              pending_reads_.erase(it2);
-              ++stats_.reads_failed;
-              InternalAbort(pr2.txn);
-              if (!Crashed()) CreateNewVp();
-              pr2.cb(Status::Timeout("no response from copy holder"));
-            });
+        pr.timeout_event = ArmReadTimeout(op_id);
         ++stats_.phys_reads_sent;
         SendPhys(pr.target, msg::kPhysRead,
                  msg::PhysRead{pr.txn, pr.obj, cur_id_, epoch_,
                                /*recovery=*/false,
                                /*for_update=*/false, op_id,
                                rec->participants},
-                 nullptr, pr.trace, RetransmitToPath(pr.txn));
+                 nullptr, rec->trace, RetransmitToPath(pr.txn));
         pending_reads_[op_id] = std::move(pr);
       } else {
-        ++stats_.reads_failed;
-        rec->doomed = true;
-        rec->path.OpCompleted(env_.clock->Now(), body.lock_wait_us);
-        InternalAbort(pr.txn);
+        OpFailed(pr.txn, body.lock_wait_us);
         pr.cb(Status::Aborted("physical read failed: " + body.error));
       }
       return true;
@@ -1427,10 +1378,7 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
       env_.executor->Cancel(pw.timeout_event);
       PendingWrite done = std::move(it->second);
       pending_writes_.erase(it);
-      ++stats_.writes_failed;
-      rec->doomed = true;
-      rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-      InternalAbort(done.txn);
+      OpFailed(done.txn, done.max_lock_wait_us);
       done.cb(Status::Aborted("physical write failed: " + body.error));
       return true;
     }
@@ -1439,17 +1387,8 @@ bool VpNode::HandleProtocolMessage(const net::Message& m) {
       env_.executor->Cancel(pw.timeout_event);
       PendingWrite done = std::move(it->second);
       pending_writes_.erase(it);
-      ++stats_.writes_ok;
-      const runtime::TimePoint now = env_.clock->Now();
-      rec->path.OpCompleted(now, done.max_lock_wait_us);
-      env_.recorder->TxnWrite(done.txn, done.obj, done.value, now);
-      ctr_phys_writes_completed_->Increment();
-      hist_phys_write_us_->Observe(
-          static_cast<uint64_t>(now - done.issued_at));
-      tracer_->Complete(done.trace, id_, done.issued_at,
-                        static_cast<uint64_t>(now - done.issued_at),
-                        "phys.write", "phys",
-                        {{"obj", std::to_string(done.obj)}});
+      WriteDone(done.txn, done.obj, done.value, done.issued_at,
+                done.max_lock_wait_us);
       done.cb(Status::Ok());
     }
   } else if (m.type == msg::kLogReply) {

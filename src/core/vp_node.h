@@ -174,6 +174,9 @@ class VpNode : public NodeBase {
   /// non-OK (and dooms the txn) if the operation must abort.
   Status AdmitLogicalOp(TxnId txn, ObjectId obj, TxnRec** rec_out);
   ProcessorId Nearest(ObjectId obj) const;
+  /// Arms the deadline of pending logical read `op_id` (each attempt,
+  /// retries included, gets a fresh one).
+  runtime::TaskId ArmReadTimeout(uint64_t op_id);
   void ReprocessDeferred();
 
   const VpConfig config_;
@@ -238,7 +241,6 @@ class VpNode : public NodeBase {
     /// Issue time of the FIRST attempt (retries keep it), so the latency
     /// histogram covers the whole logical read.
     runtime::TimePoint issued_at = 0;
-    uint64_t trace = 0;
   };
   struct PendingWrite {
     TxnId txn;
@@ -247,9 +249,7 @@ class VpNode : public NodeBase {
     Value value;
     std::set<ProcessorId> awaiting;
     runtime::TaskId timeout_event = runtime::kInvalidTask;
-    bool failed = false;
     runtime::TimePoint issued_at = 0;
-    uint64_t trace = 0;
     /// Slowest participant-reported lock wait so far — the copy the
     /// write-all actually waited on (critical-path attribution).
     uint64_t max_lock_wait_us = 0;
@@ -297,10 +297,6 @@ class VpNode : public NodeBase {
   runtime::TimePoint view_change_start_ = 0;
 
   // Cached metric handles (registry owns them; see ctor).
-  obs::Counter* ctr_phys_reads_issued_ = nullptr;
-  obs::Counter* ctr_phys_reads_completed_ = nullptr;
-  obs::Counter* ctr_phys_writes_issued_ = nullptr;
-  obs::Counter* ctr_phys_writes_completed_ = nullptr;
   obs::Counter* ctr_view_changes_ = nullptr;
   obs::Counter* ctr_conv_within_delta_ = nullptr;
   obs::Counter* ctr_conv_exceeded_delta_ = nullptr;
@@ -308,8 +304,6 @@ class VpNode : public NodeBase {
   obs::Counter* ctr_reconfigs_committed_ = nullptr;
   obs::Counter* ctr_reconfigs_deferred_ = nullptr;
   obs::Gauge* gauge_epoch_ = nullptr;
-  obs::Histogram* hist_phys_read_us_ = nullptr;
-  obs::Histogram* hist_phys_write_us_ = nullptr;
   obs::Histogram* hist_view_conv_us_ = nullptr;
   obs::Histogram* hist_reconfig_us_ = nullptr;
 };

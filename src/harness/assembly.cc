@@ -237,30 +237,17 @@ core::ProtocolStats Assembly::AggregateStats() const {
   core::ProtocolStats sum;
   for (const auto& node : nodes_) {
     const core::ProtocolStats& s = node->stats();
-    sum.txns_begun += s.txns_begun;
-    sum.txns_committed += s.txns_committed;
     sum.txns_aborted += s.txns_aborted;
     sum.reads_attempted += s.reads_attempted;
     sum.reads_ok += s.reads_ok;
-    sum.reads_unavailable += s.reads_unavailable;
-    sum.reads_failed += s.reads_failed;
-    sum.writes_attempted += s.writes_attempted;
-    sum.writes_ok += s.writes_ok;
-    sum.writes_unavailable += s.writes_unavailable;
-    sum.writes_failed += s.writes_failed;
     sum.phys_reads_sent += s.phys_reads_sent;
     sum.phys_writes_sent += s.phys_writes_sent;
-    sum.vp_creations_initiated += s.vp_creations_initiated;
     sum.vp_joins += s.vp_joins;
     sum.recovery_reads_sent += s.recovery_reads_sent;
     sum.recovery_skipped_objects += s.recovery_skipped_objects;
     sum.recovery_log_records += s.recovery_log_records;
     sum.recovery_date_polls += s.recovery_date_polls;
     sum.recovery_value_fetches += s.recovery_value_fetches;
-    sum.rel_sends += s.rel_sends;
-    sum.rel_retransmits += s.rel_retransmits;
-    sum.rel_timeouts += s.rel_timeouts;
-    sum.rel_dups_suppressed += s.rel_dups_suppressed;
   }
   return sum;
 }

@@ -23,7 +23,7 @@ Cluster::Cluster(ClusterConfig config)
     : config_(std::move(config)),
       graph_(config_.n_processors),
       network_(&scheduler_, &graph_, config_.net, config_.seed ^ 0x9e37),
-      injector_(&scheduler_, &graph_, config_.seed ^ 0x79b9),
+      injector_(&scheduler_, &graph_),
       runtime_(&scheduler_, &network_),
       stables_(NewStables(config_)),
       assembly_(config_,

@@ -44,9 +44,8 @@ std::string FaultKindName(FaultAction::Kind kind) {
   return "?";
 }
 
-FailureInjector::FailureInjector(sim::Scheduler* scheduler, CommGraph* graph,
-                                 uint64_t seed)
-    : scheduler_(scheduler), graph_(graph), rng_(seed) {}
+FailureInjector::FailureInjector(sim::Scheduler* scheduler, CommGraph* graph)
+    : scheduler_(scheduler), graph_(graph) {}
 
 Status FailureInjector::Schedule(FaultAction action) {
   if (action.at < scheduler_->Now()) {
@@ -295,75 +294,6 @@ void FailureInjector::Apply(const FaultAction& action) {
   VP_LOG(kDebug, scheduler_->Now())
       << "fault action applied (kind=" << FaultKindName(action.kind) << ")";
   if (on_change_) on_change_();
-}
-
-bool FailureInjector::RandomFaultsActive() const {
-  return random_enabled_ &&
-         (random_.stop_after == 0 || scheduler_->Now() < random_.stop_after);
-}
-
-void FailureInjector::EnableRandomFaults(const RandomFaultConfig& config) {
-  random_ = config;
-  random_enabled_ = true;
-  if (random_.processor_mtbf > 0) ScheduleNextProcessorFault();
-  if (random_.link_mtbf > 0) ScheduleNextLinkFault();
-}
-
-void FailureInjector::ScheduleNextProcessorFault() {
-  const auto gap = static_cast<sim::Duration>(
-      rng_.Exponential(static_cast<double>(random_.processor_mtbf)));
-  scheduler_->ScheduleAfter(std::max<sim::Duration>(gap, 1), [this]() {
-    if (!RandomFaultsActive()) return;
-    const ProcessorId victim =
-        static_cast<ProcessorId>(rng_.Uniform(graph_->size()));
-    if (graph_->Alive(victim)) {
-      FaultAction crash;
-      crash.kind = FaultAction::Kind::kCrashProcessor;
-      crash.a = victim;
-      Apply(crash);
-      const auto repair = static_cast<sim::Duration>(
-          rng_.Exponential(static_cast<double>(random_.processor_mttr)));
-      scheduler_->ScheduleAfter(std::max<sim::Duration>(repair, 1),
-                                [this, victim]() {
-                                  FaultAction up;
-                                  up.kind = FaultAction::Kind::kRecoverProcessor;
-                                  up.a = victim;
-                                  Apply(up);
-                                });
-    }
-    ScheduleNextProcessorFault();
-  });
-}
-
-void FailureInjector::ScheduleNextLinkFault() {
-  const auto gap = static_cast<sim::Duration>(
-      rng_.Exponential(static_cast<double>(random_.link_mtbf)));
-  scheduler_->ScheduleAfter(std::max<sim::Duration>(gap, 1), [this]() {
-    if (!RandomFaultsActive()) return;
-    const uint32_t n = graph_->size();
-    if (n >= 2) {
-      ProcessorId a = static_cast<ProcessorId>(rng_.Uniform(n));
-      ProcessorId b = static_cast<ProcessorId>(rng_.Uniform(n));
-      if (a != b && graph_->EdgeUp(a, b)) {
-        FaultAction down;
-        down.kind = FaultAction::Kind::kLinkDown;
-        down.a = a;
-        down.b = b;
-        Apply(down);
-        const auto repair = static_cast<sim::Duration>(
-            rng_.Exponential(static_cast<double>(random_.link_mttr)));
-        scheduler_->ScheduleAfter(std::max<sim::Duration>(repair, 1),
-                                  [this, a, b]() {
-                                    FaultAction up;
-                                    up.kind = FaultAction::Kind::kLinkUp;
-                                    up.a = a;
-                                    up.b = b;
-                                    Apply(up);
-                                  });
-      }
-    }
-    ScheduleNextLinkFault();
-  });
 }
 
 }  // namespace vp::net

@@ -1,8 +1,9 @@
-// Scripted and stochastic fault injection over a CommGraph.
+// Scripted fault injection over a CommGraph.
 //
 // Scenarios are declared as a schedule of actions ("at t=400ms partition
-// {A,B} | {C,D}; at t=2s heal") and/or as random crash/recovery and link
-// flap processes with exponential inter-arrival times.
+// {A,B} | {C,D}; at t=2s heal"). Randomized fault storms are generated
+// as such schedules by the nemesis (src/nemesis/), so every storm is a
+// replayable plan.
 #ifndef VPART_NET_FAILURE_INJECTOR_H_
 #define VPART_NET_FAILURE_INJECTOR_H_
 
@@ -10,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "net/topology.h"
@@ -68,24 +68,10 @@ struct FaultAction {
 /// Human-readable kind name (plan files, logs, coverage tables).
 std::string FaultKindName(FaultAction::Kind kind);
 
-/// Parameters for the stochastic fault process (0 disables a process).
-struct RandomFaultConfig {
-  /// Mean time between processor crashes (exponential), 0 = never.
-  sim::Duration processor_mtbf = 0;
-  /// Mean time to repair a crashed processor.
-  sim::Duration processor_mttr = sim::Seconds(1);
-  /// Mean time between individual link failures, 0 = never.
-  sim::Duration link_mtbf = 0;
-  /// Mean time to repair a failed link.
-  sim::Duration link_mttr = sim::Seconds(1);
-  /// Stop injecting random faults after this time (0 = no limit).
-  sim::SimTime stop_after = 0;
-};
-
-/// Applies scripted actions and drives the random fault processes.
+/// Applies scripted actions.
 class FailureInjector {
  public:
-  FailureInjector(sim::Scheduler* scheduler, CommGraph* graph, uint64_t seed);
+  FailureInjector(sim::Scheduler* scheduler, CommGraph* graph);
 
   /// Registers one scripted action. Actions in the past are rejected with
   /// InvalidArgument (nothing is scheduled).
@@ -111,9 +97,6 @@ class FailureInjector {
   void TornWriteCopyAt(sim::SimTime t, ProcessorId p, ObjectId obj);
   void ReconfigAt(sim::SimTime t, ProcessorId p, std::vector<ReconfigOp> ops);
   void At(sim::SimTime t, std::function<void()> fn);
-
-  /// Enables the stochastic fault processes.
-  void EnableRandomFaults(const RandomFaultConfig& config);
 
   /// Invoked after every applied action; protocols use this to model
   /// immediate local crash detection if desired (the VP protocol does not
@@ -153,15 +136,9 @@ class FailureInjector {
 
  private:
   void Apply(const FaultAction& action);
-  void ScheduleNextProcessorFault();
-  void ScheduleNextLinkFault();
-  bool RandomFaultsActive() const;
 
   sim::Scheduler* scheduler_;
   CommGraph* graph_;
-  Rng rng_;
-  RandomFaultConfig random_;
-  bool random_enabled_ = false;
   std::function<void()> on_change_;
   std::function<void(ProcessorId, bool)> on_crash_;
   std::function<void(ProcessorId)> on_recover_;

@@ -31,13 +31,11 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
   ++stats_.reads_attempted;
   TxnRec* rec = FindTxn(txn);
   if (rec == nullptr || rec->st != cc::TxnOutcome::kActive || rec->doomed) {
-    ++stats_.reads_failed;
     cb(Status::Aborted("transaction not active"));
     return;
   }
   const std::set<ProcessorId> view = CurrentView();
   if (!env_.placement->Accessible(obj, view)) {
-    ++stats_.reads_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no majority in view"));
@@ -67,38 +65,31 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
         if (it == pending_reads_.end()) return;
         PendingRead done = std::move(it->second);
         pending_reads_.erase(it);
-        ++stats_.reads_failed;
-        if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-          r->path.OpCompleted(env_.clock->Now(), 0);
-        }
-        InternalAbort(done.txn);
+        OpFailed(done.txn, /*lock_wait_us=*/0);
         done.cb(Status::Timeout("copy holder unresponsive"));
       });
   rec->participants.insert(target);
   ++stats_.phys_reads_sent;
-  rec->path.OpIssued(env_.clock->Now());
+  pr.issued_at = OpIssued(rec, /*is_write=*/false);
   SendPhys(target, core::msg::kPhysRead,
            PhysRead{txn, obj, kEpochDate, /*epoch=*/0, /*recovery=*/false,
                     /*for_update=*/false, op_id, {}},
            [this, op_id, target]() {
              OnDeliveryTimeout(op_id, target, /*write_phase=*/false);
            },
-           /*trace=*/0, RetransmitToPath(txn));
+           rec->trace, RetransmitToPath(txn));
   pending_reads_[op_id] = std::move(pr);
 }
 
 void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                                  core::WriteCallback cb) {
-  ++stats_.writes_attempted;
   TxnRec* rec = FindTxn(txn);
   if (rec == nullptr || rec->st != cc::TxnOutcome::kActive || rec->doomed) {
-    ++stats_.writes_failed;
     cb(Status::Aborted("transaction not active"));
     return;
   }
   const std::set<ProcessorId> view = CurrentView();
   if (!env_.placement->Accessible(obj, view)) {
-    ++stats_.writes_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no majority in view"));
@@ -120,17 +111,13 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
         if (it == pending_writes_.end()) return;
         PendingWrite done = std::move(it->second);
         pending_writes_.erase(it);
-        ++stats_.writes_failed;
-        if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-          r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-        }
-        InternalAbort(done.txn);
+        OpFailed(done.txn, done.max_lock_wait_us);
         done.cb(Status::Timeout("write-all-in-view incomplete"));
       });
   const VpId date{++write_counter_, id_};
   const std::set<ProcessorId> targets = pw.awaiting;
-  pending_writes_[op_id] = std::move(pw);
-  rec->path.OpIssued(env_.clock->Now());
+  PendingWrite& live = pending_writes_[op_id] = std::move(pw);
+  live.issued_at = OpIssued(rec, /*is_write=*/true);
   for (ProcessorId q : targets) {
     rec->participants.insert(q);
     ++stats_.phys_writes_sent;
@@ -139,7 +126,7 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
              [this, op_id, q]() {
                OnDeliveryTimeout(op_id, q, /*write_phase=*/true);
              },
-             /*trace=*/0, RetransmitToPath(txn));
+             rec->trace, RetransmitToPath(txn));
   }
 }
 
@@ -170,21 +157,16 @@ bool NaiveViewNode::HandleProtocolMessage(const net::Message& m) {
     PendingRead done = std::move(it->second);
     pending_reads_.erase(it);
     env_.executor->Cancel(done.timeout_event);
-    if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-      r->path.OpCompleted(env_.clock->Now(), body.lock_wait_us);
-    }
     if (!body.ok) {
-      ++stats_.reads_failed;
-      InternalAbort(done.txn);
+      OpFailed(done.txn, body.lock_wait_us);
       done.cb(body.error == "delivery-timeout"
                   ? Status::Timeout("physical read delivery deadline passed")
                   : Status::Aborted("physical read failed: " + body.error));
       return true;
     }
-    ++stats_.reads_ok;
-    env_.recorder->TxnRead(done.txn, done.obj, body.value, body.date,
-                           env_.clock->Now());
-    done.cb(core::ReadResult{body.value, body.date, m.src});
+    const core::ReadResult r{body.value, body.date, m.src};
+    ReadDone(done.txn, done.obj, r, done.issued_at, body.lock_wait_us);
+    done.cb(r);
     return true;
   }
   if (m.type == core::msg::kPhysWriteReply) {
@@ -199,11 +181,7 @@ bool NaiveViewNode::HandleProtocolMessage(const net::Message& m) {
       PendingWrite done = std::move(it->second);
       pending_writes_.erase(it);
       env_.executor->Cancel(done.timeout_event);
-      ++stats_.writes_failed;
-      if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-        r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-      }
-      InternalAbort(done.txn);
+      OpFailed(done.txn, done.max_lock_wait_us);
       done.cb(body.error == "delivery-timeout"
                   ? Status::Timeout("physical write delivery deadline passed")
                   : Status::Aborted("physical write failed: " + body.error));
@@ -214,12 +192,8 @@ bool NaiveViewNode::HandleProtocolMessage(const net::Message& m) {
       PendingWrite done = std::move(it->second);
       pending_writes_.erase(it);
       env_.executor->Cancel(done.timeout_event);
-      ++stats_.writes_ok;
-      if (TxnRec* r = FindTxn(done.txn); r != nullptr) {
-        r->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-      }
-      env_.recorder->TxnWrite(done.txn, done.obj, done.value,
-                              env_.clock->Now());
+      WriteDone(done.txn, done.obj, done.value, done.issued_at,
+                done.max_lock_wait_us);
       done.cb(Status::Ok());
     }
     return true;

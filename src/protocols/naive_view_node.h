@@ -63,6 +63,7 @@ class NaiveViewNode : public core::NodeBase {
     ObjectId obj;
     core::ReadCallback cb;
     runtime::TaskId timeout_event = runtime::kInvalidTask;
+    runtime::TimePoint issued_at = 0;
   };
   struct PendingWrite {
     TxnId txn;
@@ -73,6 +74,7 @@ class NaiveViewNode : public core::NodeBase {
     /// Largest lock wait any reply reported, for critical-path attribution.
     uint64_t max_lock_wait_us = 0;
     runtime::TaskId timeout_event = runtime::kInvalidTask;
+    runtime::TimePoint issued_at = 0;
   };
 
   NaiveConfig config_;

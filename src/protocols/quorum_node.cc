@@ -79,14 +79,12 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
   TxnRec* rec = nullptr;
   Status admit = AdmitOp(txn, &rec);
   if (!admit.ok()) {
-    ++stats_.reads_failed;
     cb(admit);
     return;
   }
   const Weight needed = ReadQuorum(obj);
   std::vector<ProcessorId> targets = SelectCopies(obj, needed);
   if (targets.empty()) {
-    ++stats_.reads_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no read quorum available"));
@@ -104,7 +102,7 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
       config_.op_timeout + config_.lock_timeout,
       [this, op_id]() { FailRead(op_id, Status::Timeout("read quorum")); });
   PendingRead& live = pending_reads_[op_id] = std::move(pr);
-  rec->path.OpIssued(env_.clock->Now());
+  live.issued_at = OpIssued(rec, /*is_write=*/false);
   for (ProcessorId q : targets) {
     rec->participants.insert(q);
     ++stats_.phys_reads_sent;
@@ -116,24 +114,21 @@ void QuorumNode::LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) {
                  [this, op_id, q]() {
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/false);
                  },
-                 /*trace=*/0, RetransmitToPath(txn));
+                 rec->trace, RetransmitToPath(txn));
   }
 }
 
 void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                               core::WriteCallback cb) {
-  ++stats_.writes_attempted;
   TxnRec* rec = nullptr;
   Status admit = AdmitOp(txn, &rec);
   if (!admit.ok()) {
-    ++stats_.writes_failed;
     cb(admit);
     return;
   }
   const Weight needed = WriteQuorum(obj);
   std::vector<ProcessorId> targets = SelectCopies(obj, needed);
   if (targets.empty()) {
-    ++stats_.writes_unavailable;
     rec->doomed = true;
     InternalAbort(txn);
     cb(Status::Unavailable("no write quorum available"));
@@ -155,7 +150,7 @@ void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
   PendingWrite& live = pending_writes_[op_id] = std::move(pw);
   // One attribution window spans both phases: the version poll and the
   // write are a single logical operation from the transaction's view.
-  rec->path.OpIssued(env_.clock->Now());
+  live.issued_at = OpIssued(rec, /*is_write=*/true);
   // Phase 1: version poll under exclusive locks.
   for (ProcessorId q : targets) {
     rec->participants.insert(q);
@@ -169,7 +164,7 @@ void QuorumNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                    // Poll replies are read replies, so write_phase = false.
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/false);
                  },
-                 /*trace=*/0, RetransmitToPath(txn));
+                 rec->trace, RetransmitToPath(txn));
   }
 }
 
@@ -202,13 +197,7 @@ void QuorumNode::FailRead(uint64_t op_id, Status why) {
   pending_reads_.erase(it);
   env_.executor->Cancel(pr.timeout_event);
   CancelOutstanding(pr);
-  ++stats_.reads_failed;
-  TxnRec* rec = FindTxn(pr.txn);
-  if (rec != nullptr) {
-    rec->doomed = true;
-    rec->path.OpCompleted(env_.clock->Now(), pr.max_lock_wait_us);
-  }
-  InternalAbort(pr.txn);
+  OpFailed(pr.txn, pr.max_lock_wait_us);
   pr.cb(why);
 }
 
@@ -219,13 +208,7 @@ void QuorumNode::FailWrite(uint64_t op_id, Status why) {
   pending_writes_.erase(it);
   env_.executor->Cancel(pw.timeout_event);
   CancelOutstanding(pw);
-  ++stats_.writes_failed;
-  TxnRec* rec = FindTxn(pw.txn);
-  if (rec != nullptr) {
-    rec->doomed = true;
-    rec->path.OpCompleted(env_.clock->Now(), pw.max_lock_wait_us);
-  }
-  InternalAbort(pw.txn);
+  OpFailed(pw.txn, pw.max_lock_wait_us);
   pw.cb(why);
 }
 
@@ -251,6 +234,7 @@ void QuorumNode::StartWritePhase2(uint64_t op_id) {
   const ObjectId obj = pw.obj;
   const Value value = pw.value;
   const std::set<ProcessorId> targets = pw.pollers;
+  const uint64_t trace = FindTxn(txn)->trace;
   for (ProcessorId q : targets) {
     ++stats_.phys_writes_sent;
     const uint64_t rel_id =
@@ -259,7 +243,7 @@ void QuorumNode::StartWritePhase2(uint64_t op_id) {
                  [this, op_id, q]() {
                    OnDeliveryTimeout(op_id, q, /*write_phase=*/true);
                  },
-                 /*trace=*/0, RetransmitToPath(txn));
+                 trace, RetransmitToPath(txn));
     // Re-find: SendPhys itself never mutates pending_writes_, but keeping
     // the lookup inside the loop guards against future re-entrancy.
     auto live = pending_writes_.find(op_id);
@@ -318,13 +302,10 @@ bool QuorumNode::HandleProtocolMessage(const net::Message& m) {
         // a leftover request retransmitted past commit would be served
         // outside the transaction's 2PL window.
         CancelOutstanding(done);
-        ++stats_.reads_ok;
-        if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
-          rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-        }
-        env_.recorder->TxnRead(done.txn, done.obj, done.best_value,
-                               done.best_date, env_.clock->Now());
-        done.cb(core::ReadResult{done.best_value, done.best_date, m.src});
+        const core::ReadResult r{done.best_value, done.best_date, m.src};
+        ReadDone(done.txn, done.obj, r, done.issued_at,
+                 done.max_lock_wait_us);
+        done.cb(r);
         return true;
       }
       // Can the remaining replies still reach the quorum?
@@ -399,12 +380,8 @@ bool QuorumNode::HandleProtocolMessage(const net::Message& m) {
       PendingWrite done = std::move(it->second);
       pending_writes_.erase(it);
       env_.executor->Cancel(done.timeout_event);
-      ++stats_.writes_ok;
-      if (TxnRec* rec = FindTxn(done.txn); rec != nullptr) {
-        rec->path.OpCompleted(env_.clock->Now(), done.max_lock_wait_us);
-      }
-      env_.recorder->TxnWrite(done.txn, done.obj, done.value,
-                              env_.clock->Now());
+      WriteDone(done.txn, done.obj, done.value, done.issued_at,
+                done.max_lock_wait_us);
       done.cb(Status::Ok());
     }
     return true;

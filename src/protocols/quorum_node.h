@@ -87,6 +87,7 @@ class QuorumNode : public core::NodeBase {
     /// Largest lock wait any reply reported, for critical-path attribution.
     uint64_t max_lock_wait_us = 0;
     runtime::TaskId timeout_event = runtime::kInvalidTask;
+    runtime::TimePoint issued_at = 0;
   };
   struct PendingWrite {
     TxnId txn;
@@ -104,6 +105,8 @@ class QuorumNode : public core::NodeBase {
     /// Largest lock wait across poll and write replies (attribution).
     uint64_t max_lock_wait_us = 0;
     runtime::TaskId timeout_event = runtime::kInvalidTask;
+    /// Issue of the version poll: one latency window spans both phases.
+    runtime::TimePoint issued_at = 0;
   };
 
   void FailRead(uint64_t op_id, Status why);

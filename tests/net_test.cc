@@ -281,7 +281,7 @@ TEST(Network, DeltaScalesWithEdgeCost) {
 TEST(FailureInjector, ScriptedCrashAndRecovery) {
   sim::Scheduler s;
   CommGraph g(3);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   inj.CrashAt(100, 1);
   inj.RecoverAt(200, 1);
   s.RunUntil(150);
@@ -294,7 +294,7 @@ TEST(FailureInjector, ScriptedCrashAndRecovery) {
 TEST(FailureInjector, ScriptedPartitionAndHeal) {
   sim::Scheduler s;
   CommGraph g(4);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   inj.PartitionAt(100, {{0, 1}, {2, 3}});
   inj.HealAt(300);
   s.RunUntil(200);
@@ -307,7 +307,7 @@ TEST(FailureInjector, ScriptedPartitionAndHeal) {
 TEST(FailureInjector, CustomActionRuns) {
   sim::Scheduler s;
   CommGraph g(2);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   bool ran = false;
   inj.At(50, [&] { ran = true; });
   s.RunUntilIdle();
@@ -317,7 +317,7 @@ TEST(FailureInjector, CustomActionRuns) {
 TEST(FailureInjector, OnChangeCallbackFires) {
   sim::Scheduler s;
   CommGraph g(2);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   int changes = 0;
   inj.SetOnChange([&] { ++changes; });
   inj.CrashAt(10, 0);
@@ -329,7 +329,7 @@ TEST(FailureInjector, OnChangeCallbackFires) {
 TEST(FailureInjector, OneWayCutScriptsAreDirectional) {
   sim::Scheduler s;
   CommGraph g(3);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   inj.LinkDownOneWayAt(100, 0, 1);
   s.RunUntil(200);
   EXPECT_FALSE(g.CanCommunicate(0, 1));
@@ -343,7 +343,7 @@ TEST(FailureInjector, OneWayCutScriptsAreDirectional) {
 TEST(FailureInjector, ChurnBurstFlapsAndEndsAlive) {
   sim::Scheduler s;
   CommGraph g(3);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   inj.ChurnBurstAt(100, 2, /*count=*/3, /*period=*/sim::Millis(10));
   s.RunUntil(101);
   EXPECT_FALSE(g.Alive(2));  // First crash applies at the burst start.
@@ -356,7 +356,7 @@ TEST(FailureInjector, ChurnBurstFlapsAndEndsAlive) {
 TEST(FailureInjector, PastActionsAreRejected) {
   sim::Scheduler s;
   CommGraph g(2);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   s.RunUntil(1000);
   FaultAction a;
   a.at = 500;  // Before "now".
@@ -373,7 +373,7 @@ TEST(FailureInjector, PastActionsAreRejected) {
 TEST(FailureInjector, ActionsAppliedMatchesScript) {
   sim::Scheduler s;
   CommGraph g(4);
-  FailureInjector inj(&s, &g, 1);
+  FailureInjector inj(&s, &g);
   inj.CrashAt(10, 0);
   inj.RecoverAt(20, 0);
   inj.LinkDownAt(30, 1, 2);
@@ -385,46 +385,6 @@ TEST(FailureInjector, ActionsAppliedMatchesScript) {
   // 6 scripted actions plus 2*2 churn flips (the burst shell is not
   // counted; its expanded crash/recover pairs are).
   EXPECT_EQ(inj.actions_applied(), 10u);
-}
-
-TEST(FailureInjector, RandomFaultsStopAfterDeadline) {
-  sim::Scheduler s;
-  CommGraph g(5);
-  FailureInjector inj(&s, &g, 9);
-  RandomFaultConfig cfg;
-  cfg.processor_mtbf = sim::Millis(20);
-  cfg.processor_mttr = sim::Millis(5);
-  cfg.link_mtbf = sim::Millis(20);
-  cfg.link_mttr = sim::Millis(5);
-  cfg.stop_after = sim::Millis(500);
-  inj.EnableRandomFaults(cfg);
-  s.RunUntil(sim::Millis(500));
-  const uint64_t at_deadline = inj.actions_applied();
-  EXPECT_GT(at_deadline, 0u);
-  // Only repairs of already-injected faults may run after the deadline;
-  // no new fault ever fires.
-  s.RunUntil(sim::Seconds(10));
-  EXPECT_LE(inj.actions_applied(), at_deadline + at_deadline);
-  const uint64_t settled = inj.actions_applied();
-  s.RunUntil(sim::Seconds(20));
-  EXPECT_EQ(inj.actions_applied(), settled);
-}
-
-TEST(FailureInjector, RandomFaultsEventuallyCrashAndRepair) {
-  sim::Scheduler s;
-  CommGraph g(5);
-  FailureInjector inj(&s, &g, 77);
-  RandomFaultConfig cfg;
-  cfg.processor_mtbf = sim::Millis(50);
-  cfg.processor_mttr = sim::Millis(20);
-  cfg.stop_after = sim::Seconds(2);
-  inj.EnableRandomFaults(cfg);
-  s.RunUntil(sim::Seconds(3));
-  EXPECT_GT(inj.actions_applied(), 10u);
-  // After the stop time plus repair windows, the system settles; force
-  // recovery for determinism of later asserts.
-  for (ProcessorId p = 0; p < 5; ++p) g.SetAlive(p, true);
-  EXPECT_TRUE(g.ClusterIsClique(0));
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 // Tests for the observability layer (src/obs/): histogram bucket
 // geometry, deterministic serial-mode snapshots under the nemesis harness,
 // causal trace-id propagation across a retransmitted physical send, trace
-// JSON well-formedness, and concurrent registry updates (the TSan job
-// runs this suite, so the hammer test doubles as the race check).
+// JSON well-formedness, concurrent registry updates, and one emission per
+// logical operation under every protocol on both runtimes (the TSan job
+// runs this suite, so the hammer and thread-cluster tests double as race
+// checks).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "harness/cluster.h"
+#include "harness/thread_cluster.h"
 #include "nemesis/nemesis.h"
 #include "net/message.h"
 #include "net/network.h"
@@ -20,6 +25,7 @@
 #include "obs/trace.h"
 #include "runtime/sim_runtime.h"
 #include "sim/scheduler.h"
+#include "test_util.h"
 
 namespace vp {
 namespace {
@@ -221,6 +227,128 @@ TEST(ConcurrentRegistry, ParallelUpdatesAreRaceFreeAndLossless) {
   EXPECT_EQ(snap.FindHistogram("hammer.lat_us")->count, kThreads * kIters);
   EXPECT_GE(snap.gauge_maxes[0].second, 1);
 }
+
+// ---------------------------------------------------------------------------
+// One emission per logical operation, whichever protocol runs it: a
+// committed transaction of kReads reads and kWrites writes adds exactly
+// that many phys.reads_completed / phys.writes_completed, one phys.read_us
+// observation per read, and one phys.read / phys.write span per op
+// carrying the transaction's trace id.
+
+constexpr uint64_t kReads = 3;
+constexpr uint64_t kWrites = 2;
+
+struct OpEmissions {
+  uint64_t reads = 0;
+  uint64_t writes = 0;
+  uint64_t read_latencies = 0;
+};
+
+OpEmissions EmissionsIn(const MetricsSnapshot& snap) {
+  const MetricsSnapshot::HistogramEntry* h =
+      snap.FindHistogram("phys.read_us");
+  return {snap.CounterValue("phys.reads_completed"),
+          snap.CounterValue("phys.writes_completed"),
+          h != nullptr ? h->count : 0};
+}
+
+/// Trace id of the one committed transaction the tracer saw (0 if there is
+/// not exactly one).
+uint64_t CommittedTraceId(const obs::Tracer& tracer) {
+  uint64_t trace = 0;
+  int commits = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.phase != 'e' || e.name != "txn") continue;
+    for (const auto& [key, value] : e.args) {
+      if (key == "outcome" && value == "commit") {
+        trace = e.id;
+        ++commits;
+      }
+    }
+  }
+  return commits == 1 ? trace : 0;
+}
+
+uint64_t SpansOf(const obs::Tracer& tracer, uint64_t trace,
+                 const std::string& name) {
+  uint64_t n = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.phase == 'X' && e.id == trace && e.name == name) ++n;
+  }
+  return n;
+}
+
+void ExpectOneEmissionPerOp(const OpEmissions& before,
+                            const OpEmissions& after,
+                            const obs::Tracer& tracer) {
+  EXPECT_EQ(after.reads - before.reads, kReads);
+  EXPECT_EQ(after.writes - before.writes, kWrites);
+  EXPECT_EQ(after.read_latencies - before.read_latencies, kReads);
+  const uint64_t trace = CommittedTraceId(tracer);
+  ASSERT_NE(trace, 0u) << "expected exactly one committed, traced txn";
+  EXPECT_EQ(SpansOf(tracer, trace, "phys.read"), kReads);
+  EXPECT_EQ(SpansOf(tracer, trace, "phys.write"), kWrites);
+}
+
+class CrossProtocolEmission
+    : public ::testing::TestWithParam<harness::Protocol> {};
+
+TEST_P(CrossProtocolEmission, EachLogicalOpIsReportedOnce) {
+  // Simulator: one scripted transaction once the views have formed.
+  {
+    harness::ClusterConfig config =
+        testutil::Cfg(3, /*seed=*/5, GetParam(), /*n_objects=*/5);
+    config.tracing = true;
+    harness::Cluster cluster(config);
+    cluster.RunFor(sim::Seconds(1));
+    const OpEmissions before = EmissionsIn(cluster.metrics().Snapshot());
+    testutil::TxnOutcome out = testutil::RunTxn(
+        cluster, 0,
+        {testutil::Read(0), testutil::Write(3, "a"), testutil::Read(1),
+         testutil::Write(4, "b"), testutil::Read(2)});
+    ASSERT_TRUE(out.committed) << out.failure.ToString();
+    ExpectOneEmissionPerOp(before, EmissionsIn(cluster.metrics().Snapshot()),
+                           cluster.tracer());
+  }
+  // Threads: the same script, retried until it commits (early attempts may
+  // abort while VP views form); only the committed attempt is counted.
+  {
+    using TC = harness::ThreadCluster;
+    harness::ThreadClusterConfig config;
+    config.n_processors = 3;
+    config.n_objects = 5;
+    config.protocol = GetParam();
+    config.tracing = true;
+    TC cluster(config);
+    OpEmissions before;
+    bool committed = false;
+    for (int attempt = 0; !committed && attempt < 2000; ++attempt) {
+      before = EmissionsIn(cluster.metrics().Snapshot());
+      committed = cluster
+                      .RunTxn(0, {TC::Read(0), TC::Write(3, "a"), TC::Read(1),
+                                  TC::Write(4, "b"), TC::Read(2)})
+                      .committed;
+      if (!committed) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    cluster.Stop();
+    ASSERT_TRUE(committed);
+    ExpectOneEmissionPerOp(before, EmissionsIn(cluster.metrics().Snapshot()),
+                           cluster.tracer());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProtocols, CrossProtocolEmission,
+    ::testing::Values(harness::Protocol::kVirtualPartition,
+                      harness::Protocol::kMajorityVoting,
+                      harness::Protocol::kRowa, harness::Protocol::kNaiveView),
+    [](const ::testing::TestParamInfo<harness::Protocol>& param) {
+      std::string name = harness::ProtocolName(param.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace vp
