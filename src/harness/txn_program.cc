@@ -1,0 +1,86 @@
+#include "harness/txn_program.h"
+
+#include <cstdlib>
+#include <memory>
+#include <string>
+
+namespace vp::harness {
+
+namespace {
+
+// The program's state. Each pending operation callback holds a reference,
+// so the program lives exactly as long as some callback may still fire.
+struct Program : std::enable_shared_from_this<Program> {
+  Program(core::NodeBase& n, std::vector<TxnOp> o,
+          std::function<void(TxnResult)> d)
+      : node(n), ops(std::move(o)), done(std::move(d)) {
+    result.txn = node.NewTxnId();
+    node.Begin(result.txn);
+  }
+
+  void Issue(size_t idx) {
+    if (idx == ops.size()) {
+      node.Commit(result.txn, [self = shared_from_this()](Status s) {
+        self->Finish(s);
+      });
+      return;
+    }
+    const TxnOp& op = ops[idx];
+    if (op.kind == TxnOp::Kind::kWrite) {
+      IssueWrite(idx, op.value);
+      return;
+    }
+    node.LogicalRead(
+        result.txn, op.obj,
+        [self = shared_from_this(), idx](Result<core::ReadResult> r) {
+          if (!r.ok()) {
+            self->Fail(r.status());
+            return;
+          }
+          const Value& v = r.value().value;
+          self->result.reads.push_back(v);
+          if (self->ops[idx].kind == TxnOp::Kind::kIncrement) {
+            const int64_t n = std::strtoll(v.c_str(), nullptr, 10);
+            self->IssueWrite(idx, std::to_string(n + 1));
+          } else {
+            self->Issue(idx + 1);
+          }
+        });
+  }
+
+  void IssueWrite(size_t idx, Value value) {
+    node.LogicalWrite(result.txn, ops[idx].obj, std::move(value),
+                      [self = shared_from_this(), idx](Status s) {
+                        if (!s.ok()) {
+                          self->Fail(s);
+                          return;
+                        }
+                        self->Issue(idx + 1);
+                      });
+  }
+
+  void Fail(Status s) {
+    node.Abort(result.txn);  // A no-op if the protocol already aborted.
+    Finish(std::move(s));
+  }
+
+  void Finish(Status decision) {
+    result.committed = decision.ok();
+    result.failure = std::move(decision);
+    done(std::move(result));
+  }
+
+  core::NodeBase& node;
+  const std::vector<TxnOp> ops;
+  const std::function<void(TxnResult)> done;
+  TxnResult result;
+};
+
+}  // namespace
+
+void StartTxnProgram(core::NodeBase& node, std::vector<TxnOp> ops,
+                     std::function<void(TxnResult)> done) {
+  std::make_shared<Program>(node, std::move(ops), std::move(done))->Issue(0);
+}
+
+}  // namespace vp::harness

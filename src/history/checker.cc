@@ -45,7 +45,7 @@ std::string ReplayTxn(const TxnHistory& t, std::map<ObjectId, Value>* db,
 
 }  // namespace
 
-CertifyResult ReplaySerialOrder(const std::vector<TxnHistory>& committed,
+CertifyResult ReplaySerialOrder(const HistoryView& committed,
                                 const InitialDb& initial,
                                 const std::vector<size_t>& order) {
   CertifyResult result;
@@ -65,7 +65,7 @@ CertifyResult ReplaySerialOrder(const std::vector<TxnHistory>& committed,
   return result;
 }
 
-CertifyResult CertifyOneCopySR(const std::vector<TxnHistory>& committed,
+CertifyResult CertifyOneCopySR(const HistoryView& committed,
                                const InitialDb& initial) {
   // A passing replay of ANY candidate order is a valid 1SR witness. Three
   // candidates cover the protocol regimes:
@@ -104,7 +104,7 @@ CertifyResult CertifyOneCopySR(const std::vector<TxnHistory>& committed,
 }
 
 CertifyResult CertifyOneCopySRAnyOrder(
-    const std::vector<TxnHistory>& committed, const InitialDb& initial,
+    const HistoryView& committed, const InitialDb& initial,
     size_t max_txns) {
   CertifyResult result;
   if (committed.size() > max_txns) {
@@ -180,7 +180,7 @@ std::map<TxnId, std::set<TxnId>> BuildConflictEdges(
 
 CertifyResult CheckConflictSerializable(
     const std::vector<Recorder::PhysOp>& physical_ops,
-    const std::vector<TxnHistory>& committed) {
+    const HistoryView& committed) {
   CertifyResult result;
   std::set<TxnId> committed_ids;
   std::map<TxnId, sim::SimTime> decided_at;
@@ -226,7 +226,7 @@ CertifyResult CheckConflictSerializable(
 
 CertifyResult CertifyOneCopySRConflictOrder(
     const std::vector<Recorder::PhysOp>& physical_ops,
-    const std::vector<TxnHistory>& committed, const InitialDb& initial) {
+    const HistoryView& committed, const InitialDb& initial) {
   CertifyResult result;
   std::set<TxnId> committed_ids;
   std::map<TxnId, size_t> index_of;
@@ -275,7 +275,7 @@ CertifyResult CertifyOneCopySRConflictOrder(
 }
 
 CertifyResult CheckNoLostCommittedWrites(
-    const std::vector<TxnHistory>& committed, const InitialDb& initial) {
+    const HistoryView& committed, const InitialDb& initial) {
   CertifyResult result;
   // Legitimate sources per object: the initial value plus every value
   // written by a committed transaction.

@@ -50,23 +50,23 @@ struct CertifyResult {
 using InitialDb = std::map<ObjectId, Value>;
 
 /// Theorem 1′ check: replay in (vp ≺, commit-time) order.
-CertifyResult CertifyOneCopySR(const std::vector<TxnHistory>& committed,
+CertifyResult CertifyOneCopySR(const HistoryView& committed,
                                const InitialDb& initial);
 
 /// Replays the given explicit order; exposed for tests.
-CertifyResult ReplaySerialOrder(const std::vector<TxnHistory>& committed,
+CertifyResult ReplaySerialOrder(const HistoryView& committed,
                                 const InitialDb& initial,
                                 const std::vector<size_t>& order);
 
 /// Searches all permutations (up to max_txns!) for a valid serial order.
 CertifyResult CertifyOneCopySRAnyOrder(
-    const std::vector<TxnHistory>& committed, const InitialDb& initial,
+    const HistoryView& committed, const InitialDb& initial,
     size_t max_txns = 9);
 
 /// Conflict-graph acyclicity over recorded physical operations.
 CertifyResult CheckConflictSerializable(
     const std::vector<Recorder::PhysOp>& physical_ops,
-    const std::vector<TxnHistory>& committed);
+    const HistoryView& committed);
 
 /// Theorem 1′ replay along the topological order of the committed
 /// transactions' physical conflict graph — the exact serialization order
@@ -78,7 +78,7 @@ CertifyResult CheckConflictSerializable(
 /// exists; CheckConflictSerializable reports the cycle).
 CertifyResult CertifyOneCopySRConflictOrder(
     const std::vector<Recorder::PhysOp>& physical_ops,
-    const std::vector<TxnHistory>& committed, const InitialDb& initial);
+    const HistoryView& committed, const InitialDb& initial);
 
 /// No-lost-committed-write / durability check: every value returned by a
 /// committed transaction's read must originate from the initial database or
@@ -87,7 +87,7 @@ CertifyResult CertifyOneCopySRConflictOrder(
 /// installing a rolled-back stage, or a replica resurrecting discarded
 /// state after crash/recovery churn.
 CertifyResult CheckNoLostCommittedWrites(
-    const std::vector<TxnHistory>& committed, const InitialDb& initial);
+    const HistoryView& committed, const InitialDb& initial);
 
 }  // namespace vp::history
 

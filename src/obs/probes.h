@@ -43,7 +43,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -114,7 +113,14 @@ class ProbeEngine : public FdrListener {
   /// Per-processor highest epoch.switch seen.
   std::map<ProcessorId, uint64_t> last_epoch_;
   /// (node, txn) pairs whose COMMIT outcome that node already applied.
-  std::set<std::pair<ProcessorId, TxnId>> outcome_applied_;
+  /// Hashed: every served physical op probes it, and it grows with the run.
+  struct NodeTxnHash {
+    size_t operator()(const std::pair<ProcessorId, TxnId>& k) const {
+      return TxnIdHash()(k.second) * 31 + k.first;
+    }
+  };
+  std::unordered_set<std::pair<ProcessorId, TxnId>, NodeTxnHash>
+      outcome_applied_;
   /// Hashes of initial values and every staged write.
   std::unordered_set<uint64_t> known_values_;
   std::optional<Violation> first_;

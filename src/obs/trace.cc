@@ -76,7 +76,7 @@ size_t Tracer::event_count() const {
 
 std::vector<TraceEvent> Tracer::events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  return {events_.begin(), events_.end()};
 }
 
 std::string Tracer::ToJson() const {

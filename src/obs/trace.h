@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -101,7 +102,9 @@ class Tracer {
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> next_id_{1};
   mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
+  /// A deque, not a vector: appends never relocate earlier events, so a
+  /// long traced run never stalls every strand on one growth copy.
+  std::deque<TraceEvent> events_;
 };
 
 }  // namespace vp::obs

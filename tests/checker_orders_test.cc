@@ -3,10 +3,15 @@
 // (last-vp, commit-time) order of Theorem 1'.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "history/checker.h"
 
 namespace vp::history {
 namespace {
+
+// Owned histories; the certifiers take a HistoryView over them.
+using Txns = std::vector<TxnHistory>;
 
 TxnHistory Base(TxnId id, sim::SimTime decided) {
   TxnHistory h;
@@ -48,7 +53,7 @@ TEST(CertifierOrders, WeakenedStraddlerNeedsFirstVpOrder) {
   // t1@200 → fails too... so make t1 commit EARLIER to model the lock-
   // mediated reality (readers finish before conflicting writers commit).
   t1.decided_at = 50;
-  auto result = CertifyOneCopySR({t1, t2}, {{5, "old"}});
+  auto result = CertifyOneCopySR(Txns{t1, t2}, {{5, "old"}});
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
@@ -61,7 +66,7 @@ TEST(CertifierOrders, StaleReaderNeedsVpOrder) {
   TxnHistory reader = Base({1, 1}, 200);
   reader.vp_first = reader.vp = {4, 0};
   reader.ops = {R(0, "init")};
-  auto result = CertifyOneCopySR({writer, reader}, {{0, "init"}});
+  auto result = CertifyOneCopySR(Txns{writer, reader}, {{0, "init"}});
   EXPECT_TRUE(result.ok) << result.detail;
   // The witness puts the reader first.
   ASSERT_EQ(result.serial_order.size(), 2u);
@@ -77,7 +82,7 @@ TEST(CertifierOrders, LockMediatedCommitOrderWitness) {
   TxnHistory t2 = Base({1, 1}, 200);
   t2.vp_first = t2.vp = {3, 0};
   t2.ops = {R(0, "a"), W(0, "b")};
-  auto result = CertifyOneCopySR({t2, t1}, {{0, "init"}});
+  auto result = CertifyOneCopySR(Txns{t2, t1}, {{0, "init"}});
   EXPECT_TRUE(result.ok) << result.detail;
 }
 
@@ -92,9 +97,11 @@ TEST(CertifierOrders, GenuineViolationFailsAllCandidates) {
   // t1 read obj0 pre-t2, t2 read obj1 pre-t1 — fine serially? t1 then t2:
   // t2 reads obj1 = "x" ≠ "init" → fails; t2 then t1: t1 reads obj0 = "y"
   // ≠ "init" → fails.
-  auto result = CertifyOneCopySR({t1, t2}, {{0, "init"}, {1, "init"}});
+  auto result =
+      CertifyOneCopySR(Txns{t1, t2}, {{0, "init"}, {1, "init"}});
   EXPECT_FALSE(result.ok);
-  auto any = CertifyOneCopySRAnyOrder({t1, t2}, {{0, "init"}, {1, "init"}});
+  auto any =
+      CertifyOneCopySRAnyOrder(Txns{t1, t2}, {{0, "init"}, {1, "init"}});
   EXPECT_FALSE(any.ok);
 }
 

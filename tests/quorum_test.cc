@@ -118,11 +118,12 @@ TEST(Quorum, ConcurrentIncrementsSerialize) {
     for (int attempt = 0; attempt < 20; ++attempt) {
       // Launch a competing, possibly-colliding increment from the other
       // node on every attempt to keep real concurrency in play.
-      testutil::TxnOutcome noise;
-      testutil::StartScriptedTxn(cluster.node(1 - p), {Increment(0)}, &noise);
+      harness::StartTxnProgram(cluster.node(1 - p), {Increment(0)},
+                               [&n_committed](harness::TxnResult noise) {
+                                 if (noise.committed) ++n_committed;
+                               });
       auto t = RunTxn(cluster, p, {Increment(0)}, sim::Seconds(2));
       cluster.RunFor(sim::Millis(300));
-      if (noise.done && noise.committed) ++n_committed;
       if (t.committed) {
         ++n_committed;
         break;

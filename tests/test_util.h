@@ -1,14 +1,15 @@
-// Helpers for scripting transactions in tests: runs a fixed op list
-// sequentially against one node and reports the outcome.
+// Helpers for scripting transactions in simulator tests: cluster configs
+// and a pump loop around the shared transaction-program driver.
 #ifndef VPART_TESTS_TEST_UTIL_H_
 #define VPART_TESTS_TEST_UTIL_H_
 
-#include <functional>
 #include <memory>
-#include <string>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "harness/cluster.h"
+#include "harness/txn_program.h"
 
 namespace vp::testutil {
 
@@ -36,120 +37,27 @@ inline std::vector<core::NodeBase*> AllNodes(harness::Cluster& cluster) {
   return nodes;
 }
 
-struct ScriptOp {
-  enum class Kind { kRead, kWrite, kIncrement } kind = Kind::kRead;
-  ObjectId obj = kInvalidObject;
-  Value value;  // For writes.
-};
+using harness::Increment;
+using harness::Read;
+using harness::Write;
+using TxnOutcome = harness::TxnResult;
 
-inline ScriptOp Read(ObjectId obj) {
-  return ScriptOp{ScriptOp::Kind::kRead, obj, ""};
-}
-inline ScriptOp Write(ObjectId obj, Value v) {
-  return ScriptOp{ScriptOp::Kind::kWrite, obj, std::move(v)};
-}
-/// Read obj, then write read-value + 1 (counter increment).
-inline ScriptOp Increment(ObjectId obj) {
-  return ScriptOp{ScriptOp::Kind::kIncrement, obj, ""};
-}
-
-struct TxnOutcome {
-  bool done = false;       // Reached a decision (commit or abort).
-  bool committed = false;
-  Status failure;          // First failing status, if any.
-  std::vector<Value> reads;  // Values returned by kRead/kIncrement ops.
-  TxnId txn;
-};
-
-/// Starts the scripted transaction; progresses as the caller pumps the
-/// scheduler. The outcome object must outlive the run.
-inline void StartScriptedTxn(core::NodeBase& node,
-                             std::vector<ScriptOp> ops, TxnOutcome* out) {
-  out->txn = node.NewTxnId();
-  node.Begin(out->txn);
-  // Drive ops recursively through a shared step closure. The closure holds
-  // only a weak reference to itself (capturing the shared_ptr would form an
-  // ownership cycle and leak); pending operation callbacks keep it alive.
-  auto step = std::make_shared<std::function<void(size_t)>>();
-  auto fail = [out](Status s) {
-    out->done = true;
-    out->committed = false;
-    out->failure = s;
-  };
-  auto ops_ptr = std::make_shared<std::vector<ScriptOp>>(std::move(ops));
-  std::weak_ptr<std::function<void(size_t)>> weak = step;
-  *step = [&node, out, weak, fail, ops_ptr](size_t idx) {
-    auto self = weak.lock();
-    if (!self) return;
-    if (idx >= ops_ptr->size()) {
-      node.Commit(out->txn, [out](Status s) {
-        out->done = true;
-        out->committed = s.ok();
-        if (!s.ok()) out->failure = s;
-      });
-      return;
-    }
-    const ScriptOp& op = (*ops_ptr)[idx];
-    switch (op.kind) {
-      case ScriptOp::Kind::kRead:
-        node.LogicalRead(out->txn, op.obj,
-                         [out, self, idx, fail](Result<core::ReadResult> r) {
-                           if (!r.ok()) {
-                             fail(r.status());
-                             return;
-                           }
-                           out->reads.push_back(r.value().value);
-                           (*self)(idx + 1);
-                         });
-        break;
-      case ScriptOp::Kind::kWrite:
-        node.LogicalWrite(out->txn, op.obj, op.value,
-                          [out, self, idx, fail](Status s) {
-                            if (!s.ok()) {
-                              fail(s);
-                              return;
-                            }
-                            (*self)(idx + 1);
-                          });
-        break;
-      case ScriptOp::Kind::kIncrement:
-        node.LogicalRead(
-            out->txn, op.obj,
-            [&node, out, self, idx, fail, ops_ptr](Result<core::ReadResult> r) {
-              if (!r.ok()) {
-                fail(r.status());
-                return;
-              }
-              out->reads.push_back(r.value().value);
-              const int64_t v =
-                  std::strtoll(r.value().value.c_str(), nullptr, 10);
-              node.LogicalWrite(out->txn, (*ops_ptr)[idx].obj,
-                                std::to_string(v + 1),
-                                [out, self, idx, fail](Status s) {
-                                  if (!s.ok()) {
-                                    fail(s);
-                                    return;
-                                  }
-                                  (*self)(idx + 1);
-                                });
-            });
-        break;
-    }
-  };
-  (*step)(0);
-}
-
-/// Runs a scripted transaction to completion, pumping the cluster.
+/// Runs a transaction program (harness/txn_program.h) to its decision,
+/// pumping the cluster; `committed` stays false if the budget runs out.
 inline TxnOutcome RunTxn(harness::Cluster& cluster, ProcessorId at,
-                         std::vector<ScriptOp> ops,
+                         std::vector<harness::TxnOp> ops,
                          sim::Duration budget = sim::Seconds(2)) {
-  TxnOutcome out;
-  StartScriptedTxn(cluster.node(at), std::move(ops), &out);
+  // Heap-held, so a decision landing after the budget (the caller may keep
+  // pumping) writes into live state.
+  auto out = std::make_shared<std::optional<TxnOutcome>>();
+  harness::StartTxnProgram(
+      cluster.node(at), std::move(ops),
+      [out](harness::TxnResult r) { *out = std::move(r); });
   const sim::SimTime deadline = cluster.scheduler().Now() + budget;
-  while (!out.done && cluster.scheduler().Now() < deadline) {
+  while (!out->has_value() && cluster.scheduler().Now() < deadline) {
     if (!cluster.scheduler().RunOne()) break;
   }
-  return out;
+  return out->value_or(TxnOutcome{});
 }
 
 }  // namespace vp::testutil

@@ -14,7 +14,6 @@ using harness::ClusterConfig;
 using harness::Protocol;
 using testutil::Read;
 using testutil::RunTxn;
-using testutil::StartScriptedTxn;
 using testutil::TxnOutcome;
 using testutil::Write;
 
