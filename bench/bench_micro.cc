@@ -1,14 +1,21 @@
-// Substrate microbenchmarks (google-benchmark): event-kernel throughput,
-// network message fan-out, lock manager, replica store, certifier replay,
-// and end-to-end simulated-transaction rate. These measure the simulator
+// Substrate microbenchmarks (google-benchmark): event-kernel throughput and
+// timer arm/cancel, simulated message delivery, the reliable channel's
+// round trip, lock manager, replica store, certifier replay, and
+// end-to-end simulated-transaction rate. These measure the simulator
 // itself, not the protocol claims (see the other bench binaries for those).
 #include <benchmark/benchmark.h>
+
+#include <string>
+#include <vector>
 
 #include "cc/lock_manager.h"
 #include "common/rng.h"
 #include "harness/cluster.h"
 #include "runtime/sim_runtime.h"
 #include "history/checker.h"
+#include "net/network.h"
+#include "net/reliable_channel.h"
+#include "net/topology.h"
 #include "sim/scheduler.h"
 #include "storage/replica_store.h"
 #include "workload/client.h"
@@ -40,6 +47,85 @@ void BM_SchedulerTimerChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_SchedulerTimerChain);
+
+void BM_SchedulerArmCancel(benchmark::State& state) {
+  // The protocol's timer shape: most timeouts are cancelled by the reply
+  // they guard. Arm n, cancel 90%, run the rest.
+  const int n = static_cast<int>(state.range(0));
+  sim::Scheduler s;
+  std::vector<sim::EventId> ids(n);
+  uint64_t fired = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < n; ++i) {
+      ids[i] = s.ScheduleAfter(1 + i % 97, [&fired, i] { fired += i; });
+    }
+    for (int i = 0; i < n; ++i) {
+      if (i % 10 != 0) s.Cancel(ids[i]);
+    }
+    s.RunUntilIdle();
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SchedulerArmCancel)->Arg(1000);
+
+/// Counts deliveries; the micro cases below need an endpoint and no more.
+struct SinkNode : public net::NodeInterface {
+  uint64_t received = 0;
+  void HandleMessage(const net::Message&) override { ++received; }
+};
+
+void BM_NetworkDeliverMessage(benchmark::State& state) {
+  // One simulated send → delivery of a message whose body holds a string,
+  // as phys-write payloads do.
+  sim::Scheduler s;
+  net::CommGraph graph(2);
+  net::Network network(&s, &graph, net::NetworkConfig{}, 42);
+  SinkNode a, b;
+  network.Register(0, &a);
+  network.Register(1, &b);
+  const std::string value(100, 'v');
+  for (auto _ : state) {
+    network.Send(0, 1, "write", std::any(value));
+    s.RunUntilIdle();
+  }
+  benchmark::DoNotOptimize(b.received);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_NetworkDeliverMessage);
+
+/// A network endpoint that routes traffic through its reliable channel.
+struct ReliableEndpoint : public net::NodeInterface {
+  net::ReliableChannel channel;
+  uint64_t delivered = 0;
+  ReliableEndpoint(runtime::SimRuntime* rt, ProcessorId id)
+      : channel(rt->clock(), rt->executor(), rt->transport(), id,
+                /*incarnation=*/0, net::ReliableConfig{}) {}
+  void HandleMessage(const net::Message& m) override {
+    channel.HandleMessage(m, [this](const net::Message&) { ++delivered; });
+  }
+};
+
+void BM_ReliableRoundTrip(benchmark::State& state) {
+  // Send, deliver and ack one message over the reliable channel: the
+  // envelope, the receiver's dedup, the ack and the retransmit timer's
+  // arm and cancel.
+  sim::Scheduler s;
+  net::CommGraph graph(2);
+  net::Network network(&s, &graph, net::NetworkConfig{}, 42);
+  runtime::SimRuntime rt(&s, &network);
+  ReliableEndpoint a(&rt, 0), b(&rt, 1);
+  network.Register(0, &a);
+  network.Register(1, &b);
+  const std::string value(100, 'v');
+  for (auto _ : state) {
+    a.channel.Send(1, "write", std::any(value));
+    s.RunUntilIdle();
+  }
+  benchmark::DoNotOptimize(b.delivered);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReliableRoundTrip);
 
 void BM_RngNext(benchmark::State& state) {
   Rng rng(42);

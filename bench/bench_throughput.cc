@@ -173,6 +173,9 @@ ProtoResult RunOne(harness::Protocol proto, const Options& opts,
   cfg.vp.delta = sim::Millis(50);
   cfg.vp.probe_period = sim::Seconds(1);
   cfg.runtime.delta = sim::Millis(50);
+  // Majority voting and ROWA get the same widening: one round trip at
+  // that δ instead of the simulator's 20-ms op timeout.
+  cfg.quorum.op_timeout = 2 * cfg.vp.delta;
   TC cluster(cfg);
 
   std::atomic<bool> measuring{false};

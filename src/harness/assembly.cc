@@ -167,10 +167,10 @@ std::unique_ptr<core::NodeBase> Assembly::MakeNode(ProcessorId p) {
       return std::make_unique<protocols::QuorumNode>(p, env, config_.quorum);
     case Protocol::kMajorityVoting:
       return std::make_unique<protocols::QuorumNode>(
-          p, env, protocols::MajorityVotingConfig());
+          p, env, protocols::MajorityVotingConfig(config_.quorum));
     case Protocol::kRowa:
-      return std::make_unique<protocols::QuorumNode>(p, env,
-                                                     protocols::RowaConfig());
+      return std::make_unique<protocols::QuorumNode>(
+          p, env, protocols::RowaConfig(config_.quorum));
     case Protocol::kNaiveView:
       return std::make_unique<protocols::NaiveViewNode>(p, env, config_.naive);
   }

@@ -70,12 +70,14 @@ struct AssemblyConfig {
 
   Protocol protocol = Protocol::kVirtualPartition;
   core::VpConfig vp;
+  /// kQuorum runs this as is; kMajorityVoting and kRowa take its timeouts
+  /// and poll_all and impose their own quorum shape.
   protocols::QuorumConfig quorum;
   protocols::NaiveConfig naive;
 
   /// Reliable-delivery layer for physical operations (all protocols); lives
-  /// here rather than on the per-protocol configs because kMajorityVoting
-  /// and kRowa build their QuorumConfig from factories. Defaults off.
+  /// here rather than on the per-protocol configs because every protocol
+  /// shares it. Defaults off.
   core::ReliableConfig reliable;
 
   /// Enables causal tracing: transactions and view changes get trace ids

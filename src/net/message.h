@@ -15,8 +15,8 @@
 
 namespace vp::net {
 
-/// One network message. Value type; the network copies it into the event
-/// queue at send time.
+/// One network message. Value type; the simulated network moves it into
+/// the delivery event at send time (only a duplicate is copied).
 struct Message {
   ProcessorId src = kInvalidProcessor;
   ProcessorId dst = kInvalidProcessor;

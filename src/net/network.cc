@@ -118,7 +118,6 @@ void Network::ScheduleDelivery(Message msg, sim::Duration delay) {
     VP_CHECK_MSG(node != nullptr, "message to unregistered processor");
     ++stats_.delivered;
     ctr_delivered_->Increment();
-    ++stats_.delivered_by_type[m.type];
     node->HandleMessage(m);
   });
 }

@@ -82,7 +82,6 @@ struct NetworkStats {
   uint64_t duplicated = 0;          // Extra copies scheduled by dup_prob.
   uint64_t reordered = 0;           // Messages given an adversarial hold-back.
   std::map<std::string, uint64_t> sent_by_type;
-  std::map<std::string, uint64_t> delivered_by_type;
 
   void Reset() { *this = NetworkStats(); }
 };

@@ -32,6 +32,7 @@ ReliableChannel::ReliableChannel(runtime::Clock* clock,
       next_rel_id_(1 + (uint64_t{incarnation} << 40)) {
   VP_CHECK(clock_ != nullptr && executor_ != nullptr &&
            transport_ != nullptr);
+  seen_.resize(transport_->size());
   if (metrics == nullptr) metrics = obs::MetricsRegistry::Default();
   tracer_ = tracer != nullptr ? tracer : obs::Tracer::Disabled();
   fdr_ = fdr != nullptr ? fdr : obs::FlightRecorder::Disabled();
@@ -63,7 +64,8 @@ uint64_t ReliableChannel::Send(ProcessorId dst, std::string type,
   const uint64_t rel_id = next_rel_id_++;
   Pending p;
   p.dst = dst;
-  p.type = std::move(type);
+  p.wire_type.reserve(kRelPrefix.size() + type.size());
+  p.wire_type.append(kRelPrefix).append(type);
   p.body = std::move(body);
   p.deadline = clock_->Now() + config_.delivery_deadline;
   p.next_delay = config_.retransmit_initial;
@@ -84,7 +86,7 @@ void ReliableChannel::Transmit(uint64_t rel_id, const Pending& p) {
   Message m;
   m.src = self_;
   m.dst = p.dst;
-  m.type = kRelPrefix + p.type;
+  m.type = p.wire_type;
   m.body = RelEnvelope{rel_id, incarnation_, p.body};
   m.trace = p.trace;
   transport_->Send(std::move(m));
@@ -118,7 +120,8 @@ void ReliableChannel::OnTimer(uint64_t rel_id) {
   ctr_retransmits_->Increment();
   const runtime::TimePoint now = clock_->Now();
   tracer_->Instant(p.trace, self_, static_cast<uint64_t>(now),
-                   "rel.retransmit", "rel", {{"type", p.type}});
+                   "rel.retransmit", "rel",
+                   {{"type", p.wire_type.substr(kRelPrefix.size())}});
   {
     obs::FdrEvent e;
     e.ts_us = static_cast<int64_t>(now);
@@ -185,7 +188,7 @@ bool ReliableChannel::HandleMessage(const Message& m,
   Message inner;
   inner.src = m.src;
   inner.dst = m.dst;
-  inner.type = m.type.substr(std::string(kRelPrefix).size());
+  inner.type = m.type.substr(kRelPrefix.size());
   inner.body = env.body;
   inner.sent_at = m.sent_at;
   inner.trace = m.trace;

@@ -34,9 +34,10 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -96,7 +97,7 @@ struct ReliableStats {
 /// Envelope message types. A reliable send of inner type T travels as type
 /// "rel:T" so raw sends of T (reliability disabled, or unrouted message
 /// kinds) keep their per-type network statistics unchanged.
-inline constexpr const char* kRelPrefix = "rel:";
+inline constexpr std::string_view kRelPrefix = "rel:";
 inline constexpr const char* kRelAck = "rel-ack";
 
 /// Body of a "rel:*" envelope.
@@ -185,7 +186,7 @@ class ReliableChannel {
  private:
   struct Pending {
     ProcessorId dst = kInvalidProcessor;
-    std::string type;
+    std::string wire_type;  // kRelPrefix + the inner type, built once.
     std::any body;
     runtime::TimePoint deadline = 0;
     runtime::Duration next_delay = 0;
@@ -211,10 +212,10 @@ class ReliableChannel {
 
   uint64_t next_rel_id_;
   std::map<uint64_t, Pending> pending_;
-  /// Receiver dedup: ids already delivered, per sender. Senders salt ids
-  /// with their incarnation, so entries from a peer's previous life can
-  /// never collide with its next one.
-  std::unordered_map<ProcessorId, std::unordered_set<uint64_t>> seen_;
+  /// Receiver dedup: ids already delivered, indexed by sender. Senders
+  /// salt ids with their incarnation, so entries from a peer's previous
+  /// life can never collide with its next one.
+  std::vector<std::unordered_set<uint64_t>> seen_;
   ReliableStats stats_;
 
   obs::Tracer* tracer_;

@@ -12,16 +12,17 @@ using core::msg::PhysReadReply;
 using core::msg::PhysWrite;
 using core::msg::PhysWriteReply;
 
-QuorumConfig MajorityVotingConfig() {
-  QuorumConfig c;
+QuorumConfig MajorityVotingConfig(QuorumConfig base) {
+  QuorumConfig c = std::move(base);
   c.read_quorum = 0;  // majority
   c.write_quorum = 0;
+  c.write_all = false;
   c.display_name = "majority-voting";
   return c;
 }
 
-QuorumConfig RowaConfig() {
-  QuorumConfig c;
+QuorumConfig RowaConfig(QuorumConfig base) {
+  QuorumConfig c = std::move(base);
   c.read_quorum = 1;
   c.write_quorum = 0;
   c.write_all = true;

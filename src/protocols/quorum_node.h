@@ -135,11 +135,13 @@ class QuorumNode : public core::NodeBase {
   std::map<uint64_t, PendingWrite> pending_writes_;
 };
 
-/// Thomas-style majority voting: r = w = majority.
-QuorumConfig MajorityVotingConfig();
+/// Thomas-style majority voting: r = w = majority. Takes everything but
+/// the quorum shape (timeouts, poll_all) from `base`.
+QuorumConfig MajorityVotingConfig(QuorumConfig base = {});
 
-/// Read-one/write-all without views: r = 1, w = all votes.
-QuorumConfig RowaConfig();
+/// Read-one/write-all without views: r = 1, w = all votes. Takes everything
+/// but the quorum shape (timeouts, poll_all) from `base`.
+QuorumConfig RowaConfig(QuorumConfig base = {});
 
 }  // namespace vp::protocols
 

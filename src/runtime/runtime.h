@@ -13,8 +13,9 @@
 //     kernel and the simulated lossy network. Single-threaded, virtual
 //     time, bit-for-bit deterministic — one seed, one trace. This is the
 //     model-checking substrate the nemesis campaigns run on.
-//   * ThreadRuntime (thread_runtime.h): a real-threads backend — worker
-//     pool over a mutex+condvar timer wheel, per-link locked-queue
+//   * ThreadRuntime (thread_runtime.h): a real-threads backend — one
+//     worker per shard of strands, each with a lock-free mailbox for
+//     due-now tasks and a private timer heap, per-link locked-queue
 //     in-process transport, steady-clock time. Genuine concurrency, no
 //     determinism; this is the substrate perf baselines and TSan runs on.
 //
@@ -46,8 +47,9 @@ namespace vp::runtime {
 using TimePoint = sim::SimTime;
 using Duration = sim::Duration;
 
-/// Handle for a scheduled task; used to cancel it. Task ids are unique per
-/// Executor backend (never reused within a run).
+/// Handle for a scheduled task; used to cancel it. Never 0. A handle kept
+/// after its task ran or was cancelled cancels nothing, even once the
+/// backend reuses the task's timer slot (sim/slot_table.h).
 using TaskId = uint64_t;
 inline constexpr TaskId kInvalidTask = 0;
 

@@ -5,11 +5,12 @@
 #include <deque>
 #include <future>
 #include <limits>
-#include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
 #include "net/network.h"
 #include "runtime/mpsc_queue.h"
+#include "sim/slot_table.h"
 
 namespace vp::runtime {
 
@@ -39,16 +40,18 @@ struct ThreadRuntime::Shard {
   /// worker pops. This is the ScheduleAfter(0) hot path.
   MpscQueue<Task> mailbox;
 
-  /// Delayed tasks: min-heap by (when, id), WORKER-PRIVATE — no lock.
+  /// Delayed tasks: min-heap by (when, seq), WORKER-PRIVATE — no lock.
   /// Every protocol timer is armed and cancelled from its owning strand,
   /// which executes on this shard's worker thread, so in practice the
   /// heap is single-threaded by construction; a foreign-thread arm or
   /// cancel arrives as a mailbox command the owner applies. Stop touches
-  /// these only after the worker has joined. `pending` holds the ids
-  /// currently in the heap; `cancelled` the tombstones.
+  /// these only after the worker has joined. Each heap task holds one
+  /// slot of `slots` (generation + cancelled bit) until it is popped.
   std::vector<Task> heap;
-  std::unordered_set<TaskId> pending;
-  std::unordered_set<TaskId> cancelled;
+  sim::SlotTable slots;
+  /// (seq, slot handle) of the heap tasks a foreign thread armed: their
+  /// callers hold ticket ids. Empty unless client threads arm timers.
+  std::vector<std::pair<uint64_t, sim::SlotTable::Handle>> tickets;
 
   /// Sleep protocol. The worker publishes `sleeping` (seq_cst) before its
   /// final emptiness recheck; producers push (seq_cst RMW) before loading
@@ -347,8 +350,8 @@ void ThreadRuntime::Stop() {
       strand_depth_[task.strand].fetch_sub(1, std::memory_order_relaxed);
     }
     sh->heap.clear();
-    sh->pending.clear();
-    sh->cancelled.clear();
+    sh->slots = sim::SlotTable();
+    sh->tickets.clear();
   }
   stopped_ = true;
 }
@@ -372,31 +375,34 @@ TaskId ThreadRuntime::ScheduleTask(uint32_t strand, TimePoint when,
     sh.inflight.fetch_sub(1, std::memory_order_relaxed);
     return kInvalidTask;  // Dropped before enqueue; caller can tell.
   }
-  const TaskId id =
-      (sh.next_seq.fetch_add(1, std::memory_order_relaxed) << kShardBits) |
-      shard_index;
+  Task task;
+  task.when = when;
+  task.seq = sh.next_seq.fetch_add(1, std::memory_order_relaxed);
+  task.strand = strand;
+  task.fn = std::move(fn);
   hist_strand_depth_->Observe(
       strand_depth_[strand].fetch_add(1, std::memory_order_relaxed) + 1);
   if (when > NowUs() && tls_owner_shard == &sh) {
     // Owner-local timer arm: the caller is this shard's worker thread (a
     // strand task arming its own timer — every protocol timer takes this
-    // path), so the heap is private. No lock, and no wake either: the
-    // worker is awake right now, running us, and recomputes its sleep
-    // deadline from the heap before it next parks.
-    ArmLocal(sh, Task{when, id, strand, kInvalidTask, std::move(fn)});
+    // path), so the heap and its slots are private. No lock, and no wake
+    // either: the worker is awake right now, running us, and recomputes
+    // its sleep deadline from the heap before it next parks.
+    const uint64_t handle = ArmLocal(sh, std::move(task));
     sh.inflight.fetch_sub(1, std::memory_order_release);
-  } else {
-    // Hot path (due now) and foreign-thread timer arms: one lock-free
-    // push. Due-now tasks carry no cancellation bookkeeping (Cancel on
-    // them is a no-op — they are morally already dispatched; generation
-    // guards handle the rest). A delayed task pushed from a foreign
-    // thread is a command: the owner re-files it into its private heap
-    // (see WorkerLoop) instead of running it.
-    sh.mailbox.Push(Task{when, id, strand, kInvalidTask, std::move(fn)});
-    ctr_mailbox_pushes_->Increment();
-    sh.inflight.fetch_sub(1, std::memory_order_release);
-    WakeShard(sh);
+    return (handle << kTagBits) | kSlotKind | shard_index;
   }
+  // Hot path (due now) and foreign-thread timer arms: one lock-free push,
+  // and the caller gets a ticket. Due-now tasks carry no cancellation
+  // bookkeeping (Cancel on them is a no-op — they are morally already
+  // dispatched; generation guards handle the rest). A delayed task pushed
+  // from a foreign thread is a command: the owner re-files it into its
+  // private heap (see WorkerLoop) instead of running it.
+  const TaskId id = (task.seq << kTagBits) | shard_index;
+  sh.mailbox.Push(std::move(task));
+  ctr_mailbox_pushes_->Increment();
+  sh.inflight.fetch_sub(1, std::memory_order_release);
+  WakeShard(sh);
   return id;
 }
 
@@ -404,15 +410,12 @@ void ThreadRuntime::CancelTask(TaskId id) {
   if (id == kInvalidTask) return;
   Shard& sh = *shards_[id & (kMaxShards - 1)];
   if (tls_owner_shard == &sh) {
-    // Owning worker: tombstone directly (the heap is ours). Tombstone
-    // only ids still in the heap, so `cancelled` never accumulates ids
-    // that no pop will ever reclaim (same discipline as sim::Scheduler).
-    if (sh.pending.count(id) > 0) sh.cancelled.insert(id);
+    CancelLocal(sh, id);  // Owning worker: the slots are ours.
     return;
   }
   // Cross-thread cancel — best-effort by the Executor contract. Ship a
-  // tombstone command through the mailbox for the owner to apply; an
-  // expiry that beats the command is absorbed by generation guards
+  // cancel command through the mailbox for the owner to apply; an expiry
+  // that beats the command is absorbed by generation guards
   // (runtime::Timer). The inflight guard keeps the push visible to a
   // racing Stop, exactly as in ScheduleTask.
   sh.inflight.fetch_add(1, std::memory_order_seq_cst);
@@ -428,11 +431,30 @@ void ThreadRuntime::CancelTask(TaskId id) {
   WakeShard(sh);
 }
 
-void ThreadRuntime::ArmLocal(Shard& sh, Task task) {
-  sh.pending.insert(task.id);
+uint64_t ThreadRuntime::ArmLocal(Shard& sh, Task task) {
+  const sim::SlotTable::Handle handle = sh.slots.Acquire();
+  task.slot = sim::SlotTable::SlotOf(handle);
   sh.heap.push_back(std::move(task));
   std::push_heap(sh.heap.begin(), sh.heap.end(), TaskLater{});
   hist_wheel_depth_->Observe(sh.heap.size());
+  return handle;
+}
+
+void ThreadRuntime::CancelLocal(Shard& sh, TaskId id) {
+  const uint64_t payload = id >> kTagBits;
+  if ((id & kSlotKind) != 0) {
+    // The slot's generation check makes a stale handle (its task already
+    // popped, the slot maybe reused) a no-op, so nothing accumulates.
+    sh.slots.Cancel(payload);
+    return;
+  }
+  for (const auto& [seq, handle] : sh.tickets) {
+    if (seq == payload) {
+      sh.slots.Cancel(handle);
+      return;
+    }
+  }
+  // A due-now task, or a foreign-armed timer that already fired: no-op.
 }
 
 void ThreadRuntime::WakeShard(Shard& sh) {
@@ -480,9 +502,16 @@ void ThreadRuntime::WorkerLoop(uint32_t shard) {
         std::pop_heap(sh.heap.begin(), sh.heap.end(), TaskLater{});
         Task task = std::move(sh.heap.back());
         sh.heap.pop_back();
-        sh.pending.erase(task.id);
         strand_depth_[task.strand].fetch_sub(1, std::memory_order_relaxed);
-        if (sh.cancelled.erase(task.id) > 0) continue;
+        // A foreign-armed timer takes its ticket entry along.
+        auto t = std::find_if(
+            sh.tickets.begin(), sh.tickets.end(),
+            [&task](const auto& e) { return e.first == task.seq; });
+        if (t != sh.tickets.end()) {
+          *t = sh.tickets.back();
+          sh.tickets.pop_back();
+        }
+        if (sh.slots.Release(task.slot)) continue;  // Cancelled.
         due.push_back(std::move(task));
       }
       for (Task& task : due) {
@@ -496,16 +525,16 @@ void ThreadRuntime::WorkerLoop(uint32_t shard) {
     for (int i = 0; i < kMailboxBatch && sh.mailbox.Pop(&task); ++i) {
       if (task.cancel_target != kInvalidTask) {
         // Cross-thread cancel command (see CancelTask).
-        if (sh.pending.count(task.cancel_target) > 0) {
-          sh.cancelled.insert(task.cancel_target);
-        }
+        CancelLocal(sh, task.cancel_target);
         continue;
       }
       if (task.when > NowUs()) {
-        // Timer armed from a foreign thread: file it into our heap. (If
-        // its deadline passed while queued, the `when` check fails and it
-        // simply runs below — a due timer.)
-        ArmLocal(sh, std::move(task));
+        // Timer armed from a foreign thread: file it into our heap, and
+        // map its caller's ticket to the slot. (If its deadline passed
+        // while queued, the `when` check fails and it simply runs below —
+        // a due timer.)
+        const uint64_t seq = task.seq;
+        sh.tickets.emplace_back(seq, ArmLocal(sh, std::move(task)));
         continue;
       }
       strand_depth_[task.strand].fetch_sub(1, std::memory_order_relaxed);

@@ -117,33 +117,48 @@ class ThreadRuntime {
 
   struct Task {
     TimePoint when = 0;
-    TaskId id = kInvalidTask;
+    /// Per-shard scheduling order: the FIFO tie-break among tasks with
+    /// equal deadlines, and the payload of a ticket id (see below).
+    uint64_t seq = 0;
+    /// The task's slot in its shard's SlotTable while it sits in the heap.
+    uint32_t slot = 0;
     uint32_t strand = 0;
     /// When set, this mailbox entry is a cross-thread cancel command for
-    /// that heap task, not a runnable task (`fn` is empty).
+    /// that task, not a runnable task (`fn` is empty).
     TaskId cancel_target = kInvalidTask;
     std::function<void()> fn;
   };
   struct TaskLater {
     bool operator()(const Task& a, const Task& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;  // FIFO among simultaneous same-shard tasks.
+      return a.seq > b.seq;  // FIFO among simultaneous same-shard tasks.
     }
   };
 
-  /// TaskIds carry their shard in the low bits so CancelTask routes to the
-  /// owning shard without any global structure.
+  /// TaskId = payload << kTagBits | kind | shard. The shard rides the low
+  /// bits so CancelTask routes to the owning shard without any global
+  /// structure. With kSlotKind set the payload is the task's SlotTable
+  /// handle: a timer its shard's owner armed, cancelled by generation
+  /// check. Otherwise the payload is a ticket, the task's seq: a mailbox
+  /// task, either due now (nothing to cancel) or a timer a foreign thread
+  /// armed before the owner could give it a slot.
   static constexpr uint32_t kShardBits = 4;
   static constexpr uint32_t kMaxShards = 1u << kShardBits;
+  static constexpr TaskId kSlotKind = TaskId{1} << kShardBits;
+  static constexpr uint32_t kTagBits = kShardBits + 1;
   struct Shard;  // Defined in the .cc; mailbox + timer heap + sleep state.
 
   TimePoint NowUs() const;
   TaskId ScheduleTask(uint32_t strand, TimePoint when,
                       std::function<void()> fn);
   void CancelTask(TaskId id);
-  /// Files a delayed task into a shard's worker-private heap. Must run on
-  /// the shard's owner thread (or in Stop, after the workers joined).
-  void ArmLocal(Shard& sh, Task task);
+  /// Files a delayed task into a shard's worker-private heap under a fresh
+  /// slot and returns the slot's handle. Must run on the shard's owner
+  /// thread.
+  uint64_t ArmLocal(Shard& sh, Task task);
+  /// Applies a cancel on the shard's owner thread: marks the task's slot
+  /// cancelled if `id` still names a task in the heap.
+  void CancelLocal(Shard& sh, TaskId id);
   void WorkerLoop(uint32_t shard);
   /// Notifies a shard's worker if (and only if) it is parked.
   void WakeShard(Shard& sh);

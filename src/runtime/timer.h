@@ -6,8 +6,8 @@
 // is best-effort: a superseded expiry that slips past Cancel still finds a
 // stale generation and does nothing. On the sharded ThreadRuntime this
 // guard carries real weight — an expiry fires on the owning strand's shard
-// while the Cancel may have raced it from anywhere (tombstones only stop
-// tasks still in the shard's timer heap; a task already dispatched, or one
+// while the Cancel may have raced it from anywhere (a cancel only stops a
+// task still in the shard's timer heap; a task already dispatched, or one
 // scheduled due-now into the mailbox, runs regardless), and the generation
 // check on the owning strand is what makes that harmless. All methods must
 // be called from the owning strand (protocol state machines own their

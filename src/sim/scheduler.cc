@@ -4,39 +4,32 @@
 
 namespace vp::sim {
 
-bool Scheduler::RunOne() {
-  while (!queue_.empty()) {
-    // priority_queue::top returns const&; we must copy the closure out
-    // before pop. Closures in this codebase are small (captured ids and
-    // pointers), so the copy is cheap.
-    Event ev = queue_.top();
-    queue_.pop();
-    pending_.erase(ev.id);
-    auto it = cancelled_.find(ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;  // Discarded; try the next queued event.
-    }
-    VP_CHECK(ev.when >= now_);
-    now_ = ev.when;
-    ++executed_;
-    ev.fn();
-    return true;
+bool Scheduler::PopLive(SimTime limit, Event* out) {
+  while (!heap_.empty() && heap_.front().when <= limit) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    *out = std::move(heap_.back());
+    heap_.pop_back();
+    if (!slots_.Release(out->slot)) return true;
+    out->fn = nullptr;  // Cancelled: drop its captures now.
   }
   return false;
 }
 
+bool Scheduler::RunOne() {
+  Event ev;
+  if (!PopLive(kSimTimeMax, &ev)) return false;
+  VP_CHECK(ev.when >= now_);
+  now_ = ev.when;
+  ++executed_;
+  ev.fn();
+  return true;
+}
+
 uint64_t Scheduler::RunUntil(SimTime deadline) {
   uint64_t n = 0;
-  while (!queue_.empty() && queue_.top().when <= deadline) {
-    Event ev = queue_.top();
-    queue_.pop();
-    pending_.erase(ev.id);
-    auto it = cancelled_.find(ev.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
+  while (true) {
+    Event ev;
+    if (!PopLive(deadline, &ev)) break;
     VP_CHECK(ev.when >= now_);
     now_ = ev.when;
     ++executed_;

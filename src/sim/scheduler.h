@@ -6,20 +6,21 @@
 #ifndef VPART_SIM_SCHEDULER_H_
 #define VPART_SIM_SCHEDULER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
+#include "sim/slot_table.h"
 #include "sim/time.h"
 
 namespace vp::sim {
 
-/// Handle for a scheduled event; used to cancel it.
-using EventId = uint64_t;
-inline constexpr EventId kInvalidEvent = 0;
+/// Handle for a scheduled event; used to cancel it. It is the event's
+/// (generation, slot) SlotTable handle, never 0.
+using EventId = SlotTable::Handle;
+inline constexpr EventId kInvalidEvent = SlotTable::kInvalid;
 
 /// Single-threaded discrete-event scheduler.
 class Scheduler {
@@ -41,23 +42,20 @@ class Scheduler {
   /// Schedules `fn` at absolute time `when` (>= Now()).
   EventId ScheduleAt(SimTime when, std::function<void()> fn) {
     VP_CHECK(when >= now_);
-    const EventId id = next_id_++;
-    queue_.push(Event{when, id, std::move(fn)});
-    pending_.insert(id);
+    const EventId id = slots_.Acquire();
+    heap_.push_back(Event{when, next_seq_++, SlotTable::SlotOf(id),
+                          std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
     return id;
   }
 
   /// Cancels a pending event. Cancelling an already-fired or already-
-  /// cancelled event is a no-op. Only ids still queued are marked, so
-  /// `cancelled_` is bounded by the queue size — stale handles (the common
-  /// "cancel my timeout after it fired" pattern) cost nothing.
-  void Cancel(EventId id) {
-    if (id == kInvalidEvent) return;
-    if (pending_.count(id) > 0) cancelled_.insert(id);
-  }
+  /// cancelled event is a no-op: the handle's generation no longer matches
+  /// its slot, even if a later event reuses the slot.
+  void Cancel(EventId id) { slots_.Cancel(id); }
 
   /// True if any (possibly cancelled) event is still queued.
-  bool HasWork() const { return !queue_.empty(); }
+  bool HasWork() const { return !heap_.empty(); }
 
   /// Pops the next event. If it was cancelled it is discarded without
   /// running and without advancing the clock. Returns false when the queue
@@ -77,29 +75,39 @@ class Scheduler {
 
   /// Cancelled-but-not-yet-popped events (bounded by queue size; tests use
   /// this to pin the no-leak invariant).
-  size_t cancelled_pending() const { return cancelled_.size(); }
+  size_t cancelled_pending() const { return slots_.cancelled(); }
+
+  /// Slots ever allocated: the queue's high-water size, which bounds all
+  /// cancellation bookkeeping.
+  size_t slot_capacity() const { return slots_.capacity(); }
 
  private:
   struct Event {
-    SimTime when;
-    EventId id;
+    SimTime when = 0;
+    uint64_t seq = 0;  // Scheduling order; breaks ties between equal `when`s.
+    uint32_t slot = 0;
     std::function<void()> fn;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;  // FIFO among simultaneous events.
+      return a.seq > b.seq;  // FIFO among simultaneous events.
     }
   };
 
+  /// Moves the earliest event with `when <= limit` out of the heap into
+  /// `*out`, freeing its slot and discarding cancelled events on the way.
+  /// Returns false when no live event is due by `limit`.
+  bool PopLive(SimTime limit, Event* out);
+
   SimTime now_ = kSimTimeZero;
-  EventId next_id_ = 1;
+  uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  /// Ids still in `queue_`; every pop erases its id, and Cancel consults
-  /// this so neither set can outgrow the queue.
-  std::unordered_set<EventId> pending_;
-  std::unordered_set<EventId> cancelled_;
+  /// Min-heap on (when, seq) via std::push_heap/pop_heap; popped events are
+  /// moved out, never copied.
+  std::vector<Event> heap_;
+  /// One slot per queued event: its generation and cancelled bit.
+  SlotTable slots_;
 };
 
 }  // namespace vp::sim

@@ -125,7 +125,7 @@ TEST(MutualExclusion, QuorumProtocolSameProperty) {
     config.seed = 83;
     config.protocol = Protocol::kMajorityVoting;
     config.quorum.poll_all = true;
-    // NB: kMajorityVoting ignores config.quorum; poll_all set via kQuorum.
+    // Spelled as kQuorum with an explicit 3-of-5 majority.
     config.protocol = Protocol::kQuorum;
     config.quorum.read_quorum = 3;
     config.quorum.write_quorum = 3;

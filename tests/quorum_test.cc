@@ -33,6 +33,26 @@ TEST(QuorumConfigs, EffectiveQuorums) {
   EXPECT_EQ(rnode.WriteQuorum(0), 5u);
 }
 
+// Majority voting starts from AssemblyConfig::quorum, so a configured
+// op_timeout reaches the node: with every remote message lost, the read
+// fails only after op_timeout + lock_timeout.
+TEST(QuorumConfigs, MajorityVotingTakesConfiguredOpTimeout) {
+  for (const sim::Duration op_timeout : {sim::Millis(20), sim::Millis(300)}) {
+    SCOPED_TRACE(op_timeout);
+    ClusterConfig config = QuorumCfg(3, Protocol::kMajorityVoting);
+    config.quorum.op_timeout = op_timeout;
+    const sim::Duration bound = op_timeout + config.quorum.lock_timeout;
+    Cluster cluster(config);
+    cluster.network().mutable_config()->drop_prob = 1.0;
+    const sim::SimTime start = cluster.scheduler().Now();
+    auto t = RunTxn(cluster, 0, {Read(0)});
+    EXPECT_FALSE(t.committed);
+    EXPECT_TRUE(t.failure.IsTimeout()) << t.failure.ToString();
+    EXPECT_GE(cluster.scheduler().Now() - start, bound);
+    EXPECT_LT(cluster.scheduler().Now() - start, bound + sim::Millis(20));
+  }
+}
+
 TEST(Quorum, ReadReturnsHighestVersion) {
   Cluster cluster(QuorumCfg(3, Protocol::kMajorityVoting));
   auto t1 = RunTxn(cluster, 0, {Write(0, "first")});
@@ -64,7 +84,7 @@ TEST(Quorum, VersionNumbersAdvance) {
 TEST(Quorum, MajorityVotingWorksInMajorityPartition) {
   ClusterConfig config = QuorumCfg(5, Protocol::kMajorityVoting);
   config.quorum.poll_all = true;  // Availability-oriented selection.
-  // NB: kMajorityVoting ignores config.quorum; use kQuorum with majority.
+  // Spelled as kQuorum with an explicit 3-of-5 majority.
   config.protocol = Protocol::kQuorum;
   config.quorum.read_quorum = 3;
   config.quorum.write_quorum = 3;

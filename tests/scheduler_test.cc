@@ -196,6 +196,98 @@ TEST(Scheduler, CancelBookkeepingDoesNotLeak) {
   EXPECT_EQ(s.cancelled_pending(), 0u);
 }
 
+/// Counts how often the closure holding it is copied.
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* c) : copies(c) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&& o) noexcept : copies(o.copies) {}
+  CopyCounter& operator=(const CopyCounter& o) {
+    copies = o.copies;
+    ++*copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&& o) noexcept = default;
+};
+
+TEST(Scheduler, EventClosuresAreMovedNeverCopied) {
+  Scheduler s;
+  int copies = 0;
+  std::vector<int> copies_at_run;
+  // Scrambled deadlines, so every event is sifted through the heap several
+  // times before it runs; half run through RunUntil, half through RunOne.
+  for (int i = 0; i < 64; ++i) {
+    s.ScheduleAt((i * 37) % 64, [c = CopyCounter(&copies), &copies_at_run] {
+      copies_at_run.push_back(*c.copies);
+    });
+  }
+  s.Cancel(s.ScheduleAt(10, [c = CopyCounter(&copies)] {}));
+  EXPECT_EQ(s.RunUntil(31), 32u);
+  s.RunUntilIdle();
+  ASSERT_EQ(copies_at_run.size(), 64u);
+  for (int seen : copies_at_run) EXPECT_EQ(seen, 0);
+  EXPECT_EQ(copies, 0);
+}
+
+TEST(Scheduler, StaleHandleCannotCancelTheSlotsNextEvent) {
+  Scheduler s;
+  // A fired event's handle, kept past its run (the ABA case): its slot is
+  // reused by the next event, which the old handle must not cancel.
+  const EventId fired = s.ScheduleAfter(1, [] {});
+  s.RunUntilIdle();
+  bool ran = false;
+  const EventId next = s.ScheduleAfter(1, [&] { ran = true; });
+  ASSERT_EQ(SlotTable::SlotOf(next), SlotTable::SlotOf(fired));
+  ASSERT_NE(next, fired);
+  s.Cancel(fired);
+  EXPECT_EQ(s.cancelled_pending(), 0u);
+  s.RunUntilIdle();
+  EXPECT_TRUE(ran);
+
+  // The same for a handle whose event was cancelled rather than run.
+  const EventId cancelled = s.ScheduleAfter(1, [] {});
+  s.Cancel(cancelled);
+  s.RunUntilIdle();
+  ran = false;
+  ASSERT_EQ(SlotTable::SlotOf(s.ScheduleAfter(1, [&] { ran = true; })),
+            SlotTable::SlotOf(cancelled));
+  s.Cancel(cancelled);
+  s.RunUntilIdle();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Scheduler, SimultaneousEventsRunFifoAcrossSlotReuse) {
+  Scheduler s;
+  // Free eight slots, two of them by cancellation; the free list hands
+  // them back in the reverse of their index order.
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) ids.push_back(s.ScheduleAfter(i, [] {}));
+  s.Cancel(ids[3]);
+  s.Cancel(ids[6]);
+  s.RunUntilIdle();
+  std::vector<int> order;
+  for (int i = 0; i < 16; ++i) {
+    s.ScheduleAfter(5, [&order, i] { order.push_back(i); });
+  }
+  s.RunUntilIdle();
+  ASSERT_EQ(order.size(), 16u);
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(Scheduler, SlotTableIsBoundedByQueueSize) {
+  Scheduler s;
+  // The protocol's timer shape, soaked: arm 100 timers, cancel 90, run.
+  for (int round = 0; round < 100; ++round) {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 100; ++i) ids.push_back(s.ScheduleAfter(1 + i % 7, [] {}));
+    for (int i = 0; i < 90; ++i) s.Cancel(ids[i]);
+    s.RunUntilIdle();
+  }
+  EXPECT_EQ(s.slot_capacity(), 100u);
+  EXPECT_EQ(s.cancelled_pending(), 0u);
+  EXPECT_EQ(s.events_executed(), 1000u);
+}
+
 TEST(TimeHelpers, Conversions) {
   EXPECT_EQ(Millis(3), 3000);
   EXPECT_EQ(Seconds(2), 2'000'000);

@@ -83,6 +83,31 @@ TEST(ThreadRuntimeWheel, CancelBeforeDueSkipsTask) {
   EXPECT_FALSE(ran.load());
 }
 
+TEST(ThreadRuntimeWheel, StaleHandleCannotCancelTheSlotsNextTimer) {
+  // The first timer's slot is freed when it fires; the timer it arms
+  // takes the same slot, so the first handle, kept past its run, names a
+  // stale generation and must not cancel its successor.
+  ThreadRuntime::Config cfg;
+  cfg.workers = 1;
+  ThreadRuntime rt(1, cfg);
+  runtime::TaskId first = runtime::kInvalidTask;  // Strand-serialized.
+  std::atomic<bool> second_ran{false};
+  ASSERT_TRUE(rt.RunOn(0, [&] {
+    first = rt.executor(0)->ScheduleAfter(sim::Micros(100), [&] {
+      rt.executor(0)->ScheduleAfter(sim::Millis(20),
+                                    [&] { second_ran = true; });
+      rt.executor(0)->Cancel(first);
+    });
+  }));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!second_ran.load() && std::chrono::steady_clock::now() < deadline) {
+    SleepMs(5);
+  }
+  rt.Stop();
+  EXPECT_TRUE(second_ran.load());
+}
+
 TEST(ThreadRuntimeWheel, CrossShardCancelBeforeDueNeverRuns) {
   // Strand 0 lives on shard 0, strand 1 on shard 1 (two workers). A task
   // running on shard 0 cancels a not-yet-due timer in shard 1's heap; the
@@ -650,8 +675,8 @@ TEST(ThreadRunTxn, AfterStopReturnsUnavailable) {
 
 // A program parked on a callback (a read quorum that cannot form, with a
 // minute-long op timeout) is settled by Stop instead of waiting it out.
-// kQuorum is the protocol that takes cfg.quorum (majority voting uses its
-// fixed defaults, whose 120-ms read timeout could decide the read first).
+// kQuorum with the default majority shape; cfg.quorum's minute-long op
+// timeout keeps the read from being decided before Stop.
 TEST(ThreadRunTxn, StopSettlesAProgramWaitingOnACallback) {
   harness::ThreadClusterConfig cfg;
   cfg.protocol = harness::Protocol::kQuorum;
