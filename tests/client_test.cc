@@ -14,6 +14,7 @@ using harness::Protocol;
 using testutil::AllNodes;
 using workload::Client;
 using workload::ClientConfig;
+using workload::ClientStats;
 
 ClusterConfig Cfg(uint64_t seed) { return testutil::Cfg(3, seed); }
 
@@ -116,6 +117,58 @@ TEST(Client, RmwCountersAddUp) {
   EXPECT_EQ(static_cast<uint64_t>(total), agg.txns_committed);
   auto cert = cluster.Certify();
   EXPECT_TRUE(cert.ok) << cert.detail;
+}
+
+TEST(Client, AbortsInFlightTxnWhenCoordinatorReboots) {
+  ClusterConfig config = Cfg(7);
+  config.durability = storage::DurabilityMode::kWal;
+  Cluster cluster(config);
+  cluster.RunFor(sim::Seconds(1));
+  ClientConfig cc;
+  cc.read_fraction = 0.5;
+  cc.ops_per_txn = 3;
+  cc.think_time = sim::Millis(1);
+  // Each transaction spends >= 200 ms between its ops, so one is in flight
+  // whenever the reboot lands.
+  cc.op_gap = sim::Millis(100);
+  Client client([&cluster]() { return &cluster.node(0); },
+                cluster.runtime_view(), 4, cc);
+  client.Start();
+  cluster.RunFor(sim::Millis(1050));
+  const ClientStats before = client.stats();
+  EXPECT_EQ(before.txns_aborted, 0u);
+  ASSERT_GT(before.txns_committed, 0u);
+
+  cluster.Reboot(0);
+  cluster.RunFor(sim::Seconds(3));
+  client.Stop();
+  cluster.RunFor(sim::Seconds(1));
+  const ClientStats& after = client.stats();
+  // The transaction the reboot cut off aborts without touching the
+  // retired node; later ones run on the new node and commit.
+  EXPECT_EQ(after.aborts_other, 1u);
+  EXPECT_GT(after.txns_committed, before.txns_committed);
+  auto cert = cluster.Certify();
+  EXPECT_TRUE(cert.ok) << cert.detail;
+}
+
+TEST(Client, OpGapSpacesOpsWithinATxn) {
+  Cluster cluster(Cfg(8));
+  cluster.RunFor(sim::Seconds(1));
+  ClientConfig cc;
+  cc.ops_per_txn = 4;
+  cc.op_gap = sim::Millis(20);
+  Client client(&cluster.node(0), cluster.runtime_view(), 4, cc);
+  client.Start();
+  cluster.RunFor(sim::Seconds(2));
+  client.Stop();
+  cluster.RunFor(sim::Millis(500));
+  const ClientStats& s = client.stats();
+  ASSERT_GT(s.txns_committed, 0u);
+  EXPECT_EQ(s.txns_aborted, 0u);
+  // Every committed transaction waited op_gap before each op but the first.
+  EXPECT_GE(s.total_commit_latency,
+            static_cast<sim::Duration>(s.txns_committed) * 3 * cc.op_gap);
 }
 
 TEST(Client, AggregateSums) {
