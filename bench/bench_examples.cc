@@ -22,38 +22,11 @@ struct Ex1Row {
 /// One increment transaction of x at `at`; returns (committed, read value).
 std::pair<bool, std::string> IncrementX(harness::Cluster& cluster,
                                         ProcessorId at) {
-  auto& node = cluster.node(at);
   for (int attempt = 0; attempt < 50; ++attempt) {
-    TxnId txn = node.NewTxnId();
-    node.Begin(txn);
-    std::string read_value;
-    bool ok = true;
-    bool done = false;
-    node.LogicalRead(txn, 0, [&](Result<core::ReadResult> r) {
-      if (!r.ok()) {
-        ok = false;
-        done = true;
-        return;
-      }
-      read_value = r.value().value;
-      const int64_t v = std::strtoll(read_value.c_str(), nullptr, 10);
-      node.LogicalWrite(txn, 0, std::to_string(v + 1), [&](Status ws) {
-        if (!ws.ok()) {
-          ok = false;
-          done = true;
-          return;
-        }
-        node.Commit(txn, [&](Status cs) {
-          ok = cs.ok();
-          done = true;
-        });
-      });
-    });
-    const sim::SimTime deadline = cluster.scheduler().Now() + sim::Seconds(3);
-    while (!done && cluster.scheduler().Now() < deadline)
-      if (!cluster.scheduler().RunOne()) break;
+    harness::TxnResult t =
+        cluster.RunTxn(at, {harness::Increment(0)}, sim::Seconds(3));
     cluster.RunFor(sim::Millis(100));
-    if (done && ok) return {true, read_value};
+    if (t.committed) return {true, t.reads[0]};
     // The non-transitive graph churns with the probe period; a fixed retry
     // cadence can phase-lock with it (deterministic simulation), so vary
     // the settle time across attempts.
@@ -114,32 +87,10 @@ struct Ex2Row {
 
 bool RunReadWrite(harness::Cluster& cluster, ProcessorId at, ObjectId r,
                   ObjectId w, const char* tag) {
-  auto& node = cluster.node(at);
-  TxnId txn = node.NewTxnId();
-  node.Begin(txn);
-  bool ok = false;
-  bool done = false;
-  node.LogicalRead(txn, r, [&](Result<core::ReadResult> res) {
-    if (!res.ok()) {
-      done = true;
-      return;
-    }
-    node.LogicalWrite(txn, w, tag, [&](Status ws) {
-      if (!ws.ok()) {
-        done = true;
-        return;
-      }
-      node.Commit(txn, [&](Status cs) {
-        ok = cs.ok();
-        done = true;
-      });
-    });
-  });
-  const sim::SimTime deadline = cluster.scheduler().Now() + sim::Seconds(3);
-  while (!done && cluster.scheduler().Now() < deadline)
-    if (!cluster.scheduler().RunOne()) break;
+  harness::TxnResult t = cluster.RunTxn(
+      at, {harness::Read(r), harness::Write(w, tag)}, sim::Seconds(3));
   cluster.RunFor(sim::Millis(100));
-  return ok;
+  return t.committed;
 }
 
 Ex2Row RunExample2(harness::Protocol protocol) {

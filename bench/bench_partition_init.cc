@@ -55,13 +55,9 @@ InitCost Measure(core::RecoveryMode mode, int missed_writes,
   std::string last_value;
   for (int i = 0; i < missed_writes; ++i) {
     last_value = std::string(value_size, 'a' + (i % 26));
-    auto& node = cluster.vp_node(2);
-    TxnId txn = node.NewTxnId();
-    node.Begin(txn);
-    node.LogicalWrite(txn, 0, last_value, [](Status) {});
-    cluster.RunFor(sim::Millis(60));
-    node.Commit(txn, [](Status) {});
-    cluster.RunFor(sim::Millis(60));
+    const sim::SimTime next = cluster.scheduler().Now() + sim::Millis(120);
+    cluster.RunTxn(2, {harness::Write(0, last_value)});
+    cluster.scheduler().RunUntil(next);
   }
 
   const auto stats_before = stats_at_start;

@@ -39,30 +39,18 @@ StaleResult RunOne(sim::Duration probe_period, uint64_t seed) {
 
   // Majority writes a fresh value; p0 reads in a tight loop until its view
   // drops the majority (then reads become unavailable).
-  {
-    auto& w = cluster.vp_node(1);
-    TxnId txn = w.NewTxnId();
-    w.Begin(txn);
-    w.LogicalWrite(txn, 0, "fresh", [](Status) {});
-    cluster.RunFor(sim::Millis(30));
-    w.Commit(txn, [](Status) {});
-    cluster.RunFor(sim::Millis(30));
-  }
+  sim::SimTime next = cluster.scheduler().Now() + sim::Millis(60);
+  cluster.RunTxn(1, {harness::Write(0, "fresh")});
+  cluster.scheduler().RunUntil(next);
 
+  // One read transaction every 4 ms.
   uint64_t reads_ok = 0;
   for (int i = 0; i < 10000; ++i) {
-    auto& r = cluster.vp_node(0);
-    if (!r.Accessible(0)) break;  // View collapsed: staleness window over.
-    TxnId txn = r.NewTxnId();
-    r.Begin(txn);
-    bool ok = false;
-    r.LogicalRead(txn, 0, [&](Result<core::ReadResult> res) {
-      ok = res.ok();
-    });
-    cluster.RunFor(sim::Millis(2));
-    r.Commit(txn, [](Status) {});
-    cluster.RunFor(sim::Millis(2));
-    if (ok) ++reads_ok;
+    // View collapsed: staleness window over.
+    if (!cluster.vp_node(0).Accessible(0)) break;
+    next = cluster.scheduler().Now() + sim::Millis(4);
+    if (!cluster.RunTxn(0, {harness::Read(0)}).reads.empty()) ++reads_ok;
+    cluster.scheduler().RunUntil(next);
   }
   cluster.RunFor(2 * probe_period + sim::Seconds(1));
 

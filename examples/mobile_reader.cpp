@@ -15,19 +15,9 @@ namespace {
 
 /// One read-only transaction of `obj` at `p`; returns the value or "".
 std::string ReadAt(harness::Cluster& cluster, ProcessorId p, ObjectId obj) {
-  auto& node = cluster.node(p);
-  TxnId txn = node.NewTxnId();
-  node.Begin(txn);
-  std::string value;
-  bool done = false;
-  node.LogicalRead(txn, obj, [&](Result<core::ReadResult> r) {
-    if (r.ok()) value = r.value().value;
-    node.Commit(txn, [&](Status) { done = true; });
-  });
-  const sim::SimTime deadline = cluster.scheduler().Now() + sim::Seconds(1);
-  while (!done && cluster.scheduler().Now() < deadline)
-    if (!cluster.scheduler().RunOne()) break;
-  return value;
+  harness::TxnResult t =
+      cluster.RunTxn(p, {harness::Read(obj)}, sim::Seconds(1));
+  return t.reads.empty() ? "" : t.reads[0];
 }
 
 }  // namespace
@@ -54,15 +44,9 @@ int main() {
   cluster.RunFor(sim::Millis(200));
 
   // The newsroom (majority) publishes a new headline.
-  {
-    auto& node = cluster.vp_node(2);
-    TxnId txn = node.NewTxnId();
-    node.Begin(txn);
-    node.LogicalWrite(txn, 0, "BREAKING: new headline", [&](Status) {
-      node.Commit(txn, [](Status) {});
-    });
-    cluster.RunFor(sim::Millis(200));
-  }
+  const sim::SimTime published = cluster.scheduler().Now() + sim::Millis(200);
+  cluster.RunTxn(2, {harness::Write(0, "BREAKING: new headline")});
+  cluster.scheduler().RunUntil(published);
 
   // The user reads at processor 3 (majority), then "walks over" to
   // processor 0 — which hasn't noticed it is cut off — and reads again.

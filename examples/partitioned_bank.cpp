@@ -22,41 +22,10 @@ constexpr int64_t kOpening = 1000;
 /// `at`. Returns true if the transfer committed.
 bool Transfer(harness::Cluster& cluster, ProcessorId at, ObjectId from,
               ObjectId to, int64_t amount) {
-  auto& node = cluster.node(at);
-  TxnId txn = node.NewTxnId();
-  node.Begin(txn);
-  bool committed = false;
-  bool done = false;
-  // NB: the callbacks run asynchronously, after the enclosing lambda has
-  // returned — balances must be captured BY VALUE.
-  node.LogicalRead(txn, from, [&, from, to, amount](
-                                  Result<core::ReadResult> r1) {
-    if (!r1.ok()) { done = true; return; }
-    const int64_t bal_from =
-        std::strtoll(r1.value().value.c_str(), nullptr, 10);
-    node.LogicalRead(txn, to, [&, from, to, amount,
-                               bal_from](Result<core::ReadResult> r2) {
-      if (!r2.ok()) { done = true; return; }
-      const int64_t bal_to =
-          std::strtoll(r2.value().value.c_str(), nullptr, 10);
-      node.LogicalWrite(
-          txn, from, std::to_string(bal_from - amount),
-          [&, to, amount, bal_to](Status w1) {
-            if (!w1.ok()) { done = true; return; }
-            node.LogicalWrite(txn, to, std::to_string(bal_to + amount),
-                              [&](Status w2) {
-                                if (!w2.ok()) { done = true; return; }
-                                node.Commit(txn, [&](Status c) {
-                                  committed = c.ok();
-                                  done = true;
-                                });
-                              });
-          });
-    });
-  });
-  const sim::SimTime deadline = cluster.scheduler().Now() + sim::Seconds(2);
-  while (!done && cluster.scheduler().Now() < deadline)
-    if (!cluster.scheduler().RunOne()) break;
+  const bool committed =
+      cluster
+          .RunTxn(at, {harness::Add(from, -amount), harness::Add(to, amount)})
+          .committed;
   cluster.RunFor(sim::Millis(50));
   return committed;
 }

@@ -27,23 +27,15 @@ int main() {
               cluster.VpConverged() ? "yes" : "no",
               cluster.vp_node(0).view().size());
 
-  // 4. Run a transaction at processor 0: read object 0, write object 1.
-  //    The API is asynchronous; the simulation advances when we pump it.
-  auto& node = cluster.vp_node(0);
-  TxnId txn = node.NewTxnId();
-  node.Begin(txn);
-
-  node.LogicalRead(txn, 0, [&](Result<core::ReadResult> r) {
-    std::printf("read object 0 -> '%s' (date %s, served by p%u)\n",
-                r.value().value.c_str(), r.value().date.ToString().c_str(),
-                r.value().served_by);
-    node.LogicalWrite(txn, 1, "hello, replicas", [&](Status ws) {
-      std::printf("write object 1 -> %s\n", ws.ToString().c_str());
-      node.Commit(txn, [&](Status cs) {
-        std::printf("commit -> %s\n", cs.ToString().c_str());
-      });
-    });
-  });
+  // 4. Run a transaction at processor 0: read object 0, write object 1,
+  //    commit. The nodes' API is asynchronous; RunTxn chains the ops
+  //    through their callbacks and pumps the simulation to the decision.
+  harness::TxnResult txn = cluster.RunTxn(
+      0, {harness::Read(0), harness::Write(1, "hello, replicas")});
+  std::printf("txn %s: read object 0 -> '%s'; commit -> %s\n",
+              txn.txn.ToString().c_str(),
+              txn.reads.empty() ? "" : txn.reads[0].c_str(),
+              txn.failure.ToString().c_str());
   cluster.RunFor(sim::Seconds(1));
 
   // 5. R3 (write-all-in-view) updated every copy:

@@ -20,25 +20,8 @@ constexpr ObjectId kWidgets = 0;
 
 /// Sells one widget at `p` (decrement stock); false if refused.
 bool SellOne(harness::Cluster& cluster, ProcessorId p) {
-  auto& node = cluster.node(p);
-  TxnId txn = node.NewTxnId();
-  node.Begin(txn);
-  bool committed = false;
-  bool done = false;
-  node.LogicalRead(txn, kWidgets, [&](Result<core::ReadResult> r) {
-    if (!r.ok()) { done = true; return; }
-    const int64_t stock = std::strtoll(r.value().value.c_str(), nullptr, 10);
-    node.LogicalWrite(txn, kWidgets, std::to_string(stock - 1), [&](Status w) {
-      if (!w.ok()) { done = true; return; }
-      node.Commit(txn, [&](Status c) {
-        committed = c.ok();
-        done = true;
-      });
-    });
-  });
-  const sim::SimTime deadline = cluster.scheduler().Now() + sim::Seconds(2);
-  while (!done && cluster.scheduler().Now() < deadline)
-    if (!cluster.scheduler().RunOne()) break;
+  const bool committed =
+      cluster.RunTxn(p, {harness::Add(kWidgets, -1)}).committed;
   cluster.RunFor(sim::Millis(50));
   return committed;
 }

@@ -1,5 +1,7 @@
 #include "harness/cluster.h"
 
+#include <memory>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -94,6 +96,28 @@ void Cluster::Reboot(ProcessorId p) {
   VP_LOG(kInfo, scheduler_.Now())
       << "p" << p << " rebooted from stable storage (incarnation "
       << stable->incarnation() << ")";
+}
+
+TxnResult Cluster::RunTxn(ProcessorId at, std::vector<TxnOp> ops,
+                          sim::Duration budget) {
+  // Heap-held, so a decision landing after the budget writes into live
+  // state.
+  auto decided = std::make_shared<std::optional<TxnResult>>();
+  const sim::SimTime start = scheduler_.Now();
+  StartTxnProgram(node(at), std::move(ops),
+                  [this, decided, start](TxnResult r) {
+                    r.latency = scheduler_.Now() - start;
+                    *decided = std::move(r);
+                  });
+  while (!decided->has_value() && scheduler_.Now() < start + budget) {
+    if (!scheduler_.RunOne()) break;
+  }
+  if (!decided->has_value()) {
+    TxnResult none;
+    none.failure = Status::Timeout("no decision within the budget");
+    return none;
+  }
+  return std::move(**decided);
 }
 
 void Cluster::Revive(ProcessorId p) {

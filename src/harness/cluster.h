@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "harness/assembly.h"
+#include "harness/txn_program.h"
 #include "net/failure_injector.h"
 #include "net/network.h"
 #include "net/topology.h"
@@ -102,6 +103,15 @@ class Cluster {
   // --- Running ---
   void RunFor(sim::Duration d) { scheduler_.RunUntil(scheduler_.Now() + d); }
   void RunUntilIdle() { scheduler_.RunUntilIdle(); }
+
+  /// Runs one transaction program (harness/txn_program.h) coordinated at
+  /// `at`, pumping the simulator until its decision; `latency` is the
+  /// simulated time that took. If `budget` passes first, the result is
+  /// uncommitted with a Timeout status; a decision that lands later (the
+  /// caller may keep running) is dropped. The simulator twin of
+  /// ThreadCluster::RunTxn.
+  TxnResult RunTxn(ProcessorId at, std::vector<TxnOp> ops,
+                   sim::Duration budget = sim::Seconds(2));
 
   // --- Analysis (see Assembly) ---
   history::InitialDb initial_db() const { return assembly_.initial_db(); }

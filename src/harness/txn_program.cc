@@ -12,16 +12,31 @@ namespace {
 // so the program lives exactly as long as some callback may still fire.
 struct Program : std::enable_shared_from_this<Program> {
   Program(core::NodeBase& n, std::vector<TxnOp> o,
-          std::function<void(TxnResult)> d)
-      : node(n), ops(std::move(o)), done(std::move(d)) {
+          std::function<void(TxnResult)> d, TxnStepHook h)
+      : node(n), ops(std::move(o)), done(std::move(d)), hook(std::move(h)) {
     result.txn = node.NewTxnId();
     node.Begin(result.txn);
+  }
+
+  /// Op `idx` (or the Commit) follows a completed op: the hook goes first.
+  void Next(size_t idx) {
+    if (!hook) {
+      Issue(idx);
+      return;
+    }
+    hook(idx, [self = shared_from_this(), idx](Status s) {
+      if (s.ok()) {
+        self->Issue(idx);
+      } else {
+        self->Finish(std::move(s));
+      }
+    });
   }
 
   void Issue(size_t idx) {
     if (idx == ops.size()) {
       node.Commit(result.txn, [self = shared_from_this()](Status s) {
-        self->Finish(s);
+        self->Finish(std::move(s));
       });
       return;
     }
@@ -30,20 +45,26 @@ struct Program : std::enable_shared_from_this<Program> {
       IssueWrite(idx, op.value);
       return;
     }
+    if (op.kind == TxnOp::Kind::kUniqueWrite) {
+      IssueWrite(idx, "w:" + result.txn.ToString() + ":" +
+                          std::to_string(idx));
+      return;
+    }
     node.LogicalRead(
         result.txn, op.obj,
         [self = shared_from_this(), idx](Result<core::ReadResult> r) {
           if (!r.ok()) {
-            self->Fail(r.status());
+            self->Finish(r.status());
             return;
           }
           const Value& v = r.value().value;
           self->result.reads.push_back(v);
-          if (self->ops[idx].kind == TxnOp::Kind::kIncrement) {
+          const TxnOp& read_op = self->ops[idx];
+          if (read_op.kind == TxnOp::Kind::kIncrement) {
             const int64_t n = std::strtoll(v.c_str(), nullptr, 10);
-            self->IssueWrite(idx, std::to_string(n + 1));
+            self->IssueWrite(idx, std::to_string(n + read_op.delta));
           } else {
-            self->Issue(idx + 1);
+            self->Next(idx + 1);
           }
         });
   }
@@ -52,16 +73,12 @@ struct Program : std::enable_shared_from_this<Program> {
     node.LogicalWrite(result.txn, ops[idx].obj, std::move(value),
                       [self = shared_from_this(), idx](Status s) {
                         if (!s.ok()) {
-                          self->Fail(s);
+                          self->Finish(std::move(s));
                           return;
                         }
-                        self->Issue(idx + 1);
+                        ++self->result.writes;
+                        self->Next(idx + 1);
                       });
-  }
-
-  void Fail(Status s) {
-    node.Abort(result.txn);  // A no-op if the protocol already aborted.
-    Finish(std::move(s));
   }
 
   void Finish(Status decision) {
@@ -73,14 +90,18 @@ struct Program : std::enable_shared_from_this<Program> {
   core::NodeBase& node;
   const std::vector<TxnOp> ops;
   const std::function<void(TxnResult)> done;
+  const TxnStepHook hook;
   TxnResult result;
 };
 
 }  // namespace
 
 void StartTxnProgram(core::NodeBase& node, std::vector<TxnOp> ops,
-                     std::function<void(TxnResult)> done) {
-  std::make_shared<Program>(node, std::move(ops), std::move(done))->Issue(0);
+                     std::function<void(TxnResult)> done,
+                     TxnStepHook before_step) {
+  std::make_shared<Program>(node, std::move(ops), std::move(done),
+                            std::move(before_step))
+      ->Issue(0);
 }
 
 }  // namespace vp::harness

@@ -1,6 +1,5 @@
 #include "workload/client.h"
 
-#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -17,8 +16,7 @@ Client::Client(NodeProvider provider, runtime::RuntimeView rt,
   VP_CHECK(rt_.complete());
   VP_CHECK(n_objects > 0);
   VP_CHECK(config_.ops_per_txn > 0);
-  node_ = node_provider_();
-  VP_CHECK(node_ != nullptr);
+  VP_CHECK(node_provider_() != nullptr);
 }
 
 Client::Client(core::NodeBase* node, runtime::RuntimeView rt,
@@ -38,126 +36,68 @@ void Client::ScheduleNext() {
 
 void Client::StartTxn() {
   if (stopped_) return;
-  node_ = node_provider_();  // A reboot may have replaced the node object.
-  if (!rt_.transport->Alive(node_->processor())) {
+  // A reboot may have replaced the node object.
+  core::NodeBase* node = node_provider_();
+  if (!rt_.transport->Alive(node->processor())) {
     // Processor is down; retry once it recovers.
     ScheduleNext();
     return;
   }
-  plan_.clear();
+  std::vector<harness::TxnOp> ops;
+  ops.reserve(config_.ops_per_txn);
   for (uint32_t i = 0; i < config_.ops_per_txn; ++i) {
-    OpPlan op;
-    op.is_write = !rng_.Bernoulli(config_.read_fraction);
-    op.obj = static_cast<ObjectId>(zipf_.Next(rng_));
-    plan_.push_back(op);
+    const bool is_write = !rng_.Bernoulli(config_.read_fraction);
+    const auto obj = static_cast<ObjectId>(zipf_.Next(rng_));
+    if (!is_write) {
+      ops.push_back(harness::Read(obj));
+    } else if (config_.rmw) {
+      ops.push_back(harness::Increment(obj));
+    } else {
+      ops.push_back(harness::UniqueWrite(obj));
+    }
   }
-  cur_txn_ = node_->NewTxnId();
-  txn_active_ = true;
-  txn_start_ = rt_.clock->Now();
-  node_->Begin(cur_txn_);
-  RunOp(0);
+  const runtime::TimePoint start = rt_.clock->Now();
+  harness::StartTxnProgram(
+      *node, std::move(ops),
+      [this, start](harness::TxnResult r) { Count(r, start); },
+      [this, node](size_t next, std::function<void(Status)> proceed) {
+        BeforeStep(node, next, std::move(proceed));
+      });
 }
 
-void Client::RunOp(uint32_t idx) {
-  if (idx > 0 && idx < plan_.size() && config_.op_gap > 0) {
-    // Interactive-transaction pacing: wait, then issue the op.
-    const TxnId txn = cur_txn_;
-    rt_.executor->ScheduleAfter(config_.op_gap, [this, txn, idx]() {
-      if (!(txn == cur_txn_) || !txn_active_) return;
-      RunOpNow(idx);
-    });
-    return;
-  }
-  RunOpNow(idx);
-}
-
-void Client::RunOpNow(uint32_t idx) {
-  if (node_ != node_provider_()) {
-    // The processor rebooted mid-transaction (crash-amnesia): the cached
+void Client::BeforeStep(core::NodeBase* node, size_t next,
+                        std::function<void(Status)> proceed) {
+  auto step = [this, node, proceed = std::move(proceed)]() {
+    // The processor rebooted mid-transaction (crash-amnesia): the program's
     // node object is retired and must not be spoken to. The transaction's
     // volatile coordinator state died with it; presumed abort resolves any
     // staged writes.
-    FinishTxn(true, Status::Aborted("coordinator rebooted"));
+    proceed(node == node_provider_() ? Status::Ok()
+                                     : Status::Aborted("coordinator rebooted"));
+  };
+  if (next < config_.ops_per_txn && config_.op_gap > 0) {
+    // Interactive-transaction pacing: wait, then issue the op.
+    rt_.executor->ScheduleAfter(config_.op_gap, std::move(step));
     return;
   }
-  if (idx >= plan_.size()) {
-    const TxnId txn = cur_txn_;
-    node_->Commit(txn, [this, txn](Status s) {
-      if (!(txn == cur_txn_) || !txn_active_) return;
-      FinishTxn(!s.ok(), s);
-    });
-    return;
-  }
-  const OpPlan& op = plan_[idx];
-  const TxnId txn = cur_txn_;
-  if (!op.is_write) {
-    node_->LogicalRead(txn, op.obj,
-                       [this, txn, idx](Result<core::ReadResult> r) {
-                         if (!(txn == cur_txn_) || !txn_active_) return;
-                         if (!r.ok()) {
-                           FinishTxn(true, r.status());
-                           return;
-                         }
-                         ++stats_.reads_done;
-                         RunOp(idx + 1);
-                       });
-    return;
-  }
-  if (config_.rmw) {
-    // Counter semantics: read, then write value+1.
-    node_->LogicalRead(
-        txn, op.obj, [this, txn, idx](Result<core::ReadResult> r) {
-          if (!(txn == cur_txn_) || !txn_active_) return;
-          if (!r.ok()) {
-            FinishTxn(true, r.status());
-            return;
-          }
-          ++stats_.reads_done;
-          int64_t v = 0;
-          const std::string& s = r.value().value;
-          if (!s.empty()) v = std::strtoll(s.c_str(), nullptr, 10);
-          node_->LogicalWrite(txn, plan_[idx].obj, std::to_string(v + 1),
-                              [this, txn, idx](Status ws) {
-                                if (!(txn == cur_txn_) || !txn_active_) return;
-                                if (!ws.ok()) {
-                                  FinishTxn(true, ws);
-                                  return;
-                                }
-                                ++stats_.writes_done;
-                                RunOp(idx + 1);
-                              });
-        });
-    return;
-  }
-  // Unique token write: the certifier can attribute every value.
-  const Value token =
-      "w:" + txn.ToString() + ":" + std::to_string(idx);
-  node_->LogicalWrite(txn, op.obj, token, [this, txn, idx](Status ws) {
-    if (!(txn == cur_txn_) || !txn_active_) return;
-    if (!ws.ok()) {
-      FinishTxn(true, ws);
-      return;
-    }
-    ++stats_.writes_done;
-    RunOp(idx + 1);
-  });
+  step();
 }
 
-void Client::FinishTxn(bool failed, const Status& why) {
-  txn_active_ = false;
-  if (!failed) {
+void Client::Count(const harness::TxnResult& r, runtime::TimePoint start) {
+  stats_.reads_done += r.reads.size();
+  stats_.writes_done += r.writes;
+  if (r.committed) {
     ++stats_.txns_committed;
-    stats_.total_commit_latency += rt_.clock->Now() - txn_start_;
+    stats_.total_commit_latency += rt_.clock->Now() - start;
   } else {
     ++stats_.txns_aborted;
-    if (why.IsUnavailable()) {
+    if (r.failure.IsUnavailable()) {
       ++stats_.aborts_unavailable;
-    } else if (why.IsTimeout()) {
+    } else if (r.failure.IsTimeout()) {
       ++stats_.aborts_timeout;
     } else {
       ++stats_.aborts_other;
     }
-    // The protocol has already broadcast the abort; nothing to clean up.
   }
   ScheduleNext();
 }

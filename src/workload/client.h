@@ -1,8 +1,9 @@
 // Closed-loop workload clients. Each client is pinned to one processor and
-// repeatedly runs transactions against the local ReplicaControl instance:
-// a configurable mix of reads and writes over a (possibly skewed) object
-// population, with unique write tokens so the serializability certifier can
-// trace every value to its writer.
+// generates transactions for it: a configurable mix of reads and writes
+// over a (possibly skewed) object population, with unique write tokens so
+// the serializability certifier can trace every value to its writer. Each
+// transaction runs through the shared driver (harness/txn_program.h); the
+// client only draws the op list, paces it and counts the outcome.
 #ifndef VPART_WORKLOAD_CLIENT_H_
 #define VPART_WORKLOAD_CLIENT_H_
 
@@ -13,6 +14,7 @@
 
 #include "common/rng.h"
 #include "core/node_base.h"
+#include "harness/txn_program.h"
 #include "runtime/runtime.h"
 
 namespace vp::workload {
@@ -70,29 +72,21 @@ class Client {
   const ClientStats& stats() const { return stats_; }
 
  private:
-  struct OpPlan {
-    bool is_write = false;
-    ObjectId obj = kInvalidObject;
-  };
-
   void StartTxn();
-  void RunOp(uint32_t idx);
-  void RunOpNow(uint32_t idx);
-  void FinishTxn(bool failed, const Status& why);
+  /// Pacing (op_gap) and the reboot check before each step of a program
+  /// coordinated at `node`.
+  void BeforeStep(core::NodeBase* node, size_t next,
+                  std::function<void(Status)> proceed);
+  void Count(const harness::TxnResult& r, runtime::TimePoint start);
   void ScheduleNext();
 
   NodeProvider node_provider_;
-  core::NodeBase* node_ = nullptr;  // Resolved per transaction.
   runtime::RuntimeView rt_;
   ClientConfig config_;
   Rng rng_;
   ZipfGenerator zipf_;
 
   bool stopped_ = false;
-  bool txn_active_ = false;
-  TxnId cur_txn_;
-  std::vector<OpPlan> plan_;
-  runtime::TimePoint txn_start_ = 0;
   ClientStats stats_;
 };
 

@@ -151,8 +151,8 @@ TEST(Amnesia, CrashDuringVpFormationStaysSafeAndConverges) {
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(2));
 
-  testutil::TxnOutcome before = testutil::RunTxn(
-      cluster, 0, {testutil::Write(0, "pre"), testutil::Write(1, "pre")});
+  harness::TxnResult before = cluster.RunTxn(
+      0, {testutil::Write(0, "pre"), testutil::Write(1, "pre")});
   ASSERT_TRUE(before.committed);
 
   // Split, then amnesia-crash a majority member while the new virtual
@@ -169,8 +169,8 @@ TEST(Amnesia, CrashDuringVpFormationStaysSafeAndConverges) {
   cluster.RunFor(sim::Seconds(4));
 
   EXPECT_TRUE(cluster.VpConverged());
-  testutil::TxnOutcome after = testutil::RunTxn(
-      cluster, 2, {testutil::Read(0), testutil::Write(1, "post")});
+  harness::TxnResult after = cluster.RunTxn(
+      2, {testutil::Read(0), testutil::Write(1, "post")});
   EXPECT_TRUE(after.committed);
   cluster.RunFor(sim::Seconds(1));
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
@@ -187,8 +187,7 @@ TEST(Amnesia, DoubleCrashReplaysTheWalTwiceIdempotently) {
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(2));
 
-  testutil::TxnOutcome txn =
-      testutil::RunTxn(cluster, 0, {testutil::Write(0, "X")});
+  harness::TxnResult txn = cluster.RunTxn(0, {testutil::Write(0, "X")});
   ASSERT_TRUE(txn.committed);
   cluster.RunFor(sim::Millis(500));  // Outcome applies everywhere.
 
@@ -282,8 +281,7 @@ DoubleTornResult RunDoubleTornCrash() {
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(2));
 
-  testutil::TxnOutcome txn =
-      testutil::RunTxn(cluster, 0, {testutil::Write(0, "X")});
+  harness::TxnResult txn = cluster.RunTxn(0, {testutil::Write(0, "X")});
   EXPECT_TRUE(txn.committed);
   cluster.RunFor(sim::Millis(500));
 

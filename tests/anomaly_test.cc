@@ -14,7 +14,6 @@ using harness::ClusterConfig;
 using harness::Protocol;
 using testutil::Increment;
 using testutil::Read;
-using testutil::RunTxn;
 using testutil::Write;
 
 // ---------------------------------------------------------------------------
@@ -37,11 +36,11 @@ TEST(Example1, NaiveViewsLoseAnUpdate) {
   cluster.graph().SetEdge(0, 1, false);  // A-B down; A-C, B-C up.
 
   // view(A) = {A,C}, view(B) = {B,C}: both majorities of x's 3 copies.
-  auto ta = RunTxn(cluster, 0, {Increment(0)});
+  auto ta = cluster.RunTxn(0, {Increment(0)});
   ASSERT_TRUE(ta.committed) << ta.failure.ToString();
   EXPECT_EQ(ta.reads[0], "0");
 
-  auto tb = RunTxn(cluster, 1, {Increment(0)});
+  auto tb = cluster.RunTxn(1, {Increment(0)});
   ASSERT_TRUE(tb.committed) << tb.failure.ToString();
   // B read its own copy, which A could not update: the stale "0".
   EXPECT_EQ(tb.reads[0], "0");
@@ -69,7 +68,7 @@ TEST(Example1, VirtualPartitionsSerializeTheIncrements) {
   int committed = 0;
   for (ProcessorId p : {ProcessorId{0}, ProcessorId{1}}) {
     for (int attempt = 0; attempt < 50; ++attempt) {
-      auto t = RunTxn(cluster, p, {Increment(0)}, sim::Seconds(4));
+      auto t = cluster.RunTxn(p, {Increment(0)}, sim::Seconds(4));
       cluster.RunFor(sim::Millis(50));
       if (t.committed) {
         ++committed;
@@ -133,10 +132,10 @@ TEST(Example2, NaiveAsynchronousViewUpdatesBreakOneCopySR) {
   cluster.naive_node(2).SetViewOverride({2, 3});  // C: old {C,D}.
   cluster.naive_node(3).SetViewOverride({0, 3});  // D: new {A,D}.
 
-  auto ta = RunTxn(cluster, 0, {Read(kB), Write(kA, "TA")});
-  auto tb = RunTxn(cluster, 1, {Read(kC), Write(kB, "TB")});
-  auto tc = RunTxn(cluster, 2, {Read(kD), Write(kC, "TC")});
-  auto td = RunTxn(cluster, 3, {Read(kA), Write(kD, "TD")});
+  auto ta = cluster.RunTxn(0, {Read(kB), Write(kA, "TA")});
+  auto tb = cluster.RunTxn(1, {Read(kC), Write(kB, "TB")});
+  auto tc = cluster.RunTxn(2, {Read(kD), Write(kC, "TC")});
+  auto td = cluster.RunTxn(3, {Read(kA), Write(kD, "TD")});
   ASSERT_TRUE(ta.committed) << ta.failure.ToString();
   ASSERT_TRUE(tb.committed) << tb.failure.ToString();
   ASSERT_TRUE(tc.committed) << tc.failure.ToString();
@@ -171,10 +170,10 @@ TEST(Example2, VirtualPartitionsBreakTheCycle) {
   // S3 forbids acting on half-updated views: each processor is now in an
   // agreed partition. Accessibility: in {B,C}: b (2/3) and c (3/3); in
   // {A,D}: a (3/3) and d (2/3).
-  auto ta = RunTxn(cluster, 0, {Read(kB), Write(kA, "TA")});
-  auto tb = RunTxn(cluster, 1, {Read(kC), Write(kB, "TB")});
-  auto tc = RunTxn(cluster, 2, {Read(kD), Write(kC, "TC")});
-  auto td = RunTxn(cluster, 3, {Read(kA), Write(kD, "TD")});
+  auto ta = cluster.RunTxn(0, {Read(kB), Write(kA, "TA")});
+  auto tb = cluster.RunTxn(1, {Read(kC), Write(kB, "TB")});
+  auto tc = cluster.RunTxn(2, {Read(kD), Write(kC, "TC")});
+  auto td = cluster.RunTxn(3, {Read(kA), Write(kD, "TD")});
 
   // T_A needs b, whose copies (B:2, A:1) have no majority in {A,D}.
   EXPECT_FALSE(ta.committed);

@@ -333,8 +333,8 @@ TEST(ClusterFdr, SimRunRecordsEventsAndPathsSumExactly) {
 
   uint64_t committed = 0;
   for (int i = 0; i < 4; ++i) {
-    const testutil::TxnOutcome out = testutil::RunTxn(
-        cluster, static_cast<ProcessorId>(i % 3),
+    const harness::TxnResult out = cluster.RunTxn(
+        static_cast<ProcessorId>(i % 3),
         {testutil::Write(0, "w" + std::to_string(i)), testutil::Read(1)});
     if (out.committed) ++committed;
   }

@@ -16,7 +16,6 @@ namespace {
 using harness::Cluster;
 using harness::ClusterConfig;
 using harness::Protocol;
-using testutil::RunTxn;
 using testutil::Write;
 
 /// All two-way splits (A, complement) of {0..n-1} with A nonempty and not
@@ -55,9 +54,9 @@ SplitOutcome TrySplit(ClusterConfig config,
   cluster.RunFor(sim::Seconds(1));
 
   SplitOutcome out;
-  auto ta = RunTxn(cluster, side_a.front(), {Write(0, "A")});
+  auto ta = cluster.RunTxn(side_a.front(), {Write(0, "A")});
   out.side_a_wrote = ta.committed;
-  auto tb = RunTxn(cluster, side_b.front(), {Write(0, "B")});
+  auto tb = cluster.RunTxn(side_b.front(), {Write(0, "B")});
   out.side_b_wrote = tb.committed;
   return out;
 }

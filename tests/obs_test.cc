@@ -302,8 +302,8 @@ TEST_P(CrossProtocolEmission, EachLogicalOpIsReportedOnce) {
     harness::Cluster cluster(config);
     cluster.RunFor(sim::Seconds(1));
     const OpEmissions before = EmissionsIn(cluster.metrics().Snapshot());
-    testutil::TxnOutcome out = testutil::RunTxn(
-        cluster, 0,
+    harness::TxnResult out = cluster.RunTxn(
+        0,
         {testutil::Read(0), testutil::Write(3, "a"), testutil::Read(1),
          testutil::Write(4, "b"), testutil::Read(2)});
     ASSERT_TRUE(out.committed) << out.failure.ToString();

@@ -14,7 +14,6 @@ using harness::ClusterConfig;
 using harness::Protocol;
 using testutil::Increment;
 using testutil::Read;
-using testutil::RunTxn;
 using testutil::Write;
 
 ClusterConfig QuorumCfg(uint32_t n, Protocol proto, uint64_t seed = 2) {
@@ -45,7 +44,7 @@ TEST(QuorumConfigs, MajorityVotingTakesConfiguredOpTimeout) {
     Cluster cluster(config);
     cluster.network().mutable_config()->drop_prob = 1.0;
     const sim::SimTime start = cluster.scheduler().Now();
-    auto t = RunTxn(cluster, 0, {Read(0)});
+    auto t = cluster.RunTxn(0, {Read(0)});
     EXPECT_FALSE(t.committed);
     EXPECT_TRUE(t.failure.IsTimeout()) << t.failure.ToString();
     EXPECT_GE(cluster.scheduler().Now() - start, bound);
@@ -55,13 +54,13 @@ TEST(QuorumConfigs, MajorityVotingTakesConfiguredOpTimeout) {
 
 TEST(Quorum, ReadReturnsHighestVersion) {
   Cluster cluster(QuorumCfg(3, Protocol::kMajorityVoting));
-  auto t1 = RunTxn(cluster, 0, {Write(0, "first")});
+  auto t1 = cluster.RunTxn(0, {Write(0, "first")});
   ASSERT_TRUE(t1.committed) << t1.failure.ToString();
   cluster.RunFor(sim::Millis(100));
-  auto t2 = RunTxn(cluster, 1, {Write(0, "second")});
+  auto t2 = cluster.RunTxn(1, {Write(0, "second")});
   ASSERT_TRUE(t2.committed) << t2.failure.ToString();
   cluster.RunFor(sim::Millis(100));
-  auto t3 = RunTxn(cluster, 2, {Read(0)});
+  auto t3 = cluster.RunTxn(2, {Read(0)});
   ASSERT_TRUE(t3.committed) << t3.failure.ToString();
   EXPECT_EQ(t3.reads[0], "second");
 }
@@ -69,7 +68,7 @@ TEST(Quorum, ReadReturnsHighestVersion) {
 TEST(Quorum, VersionNumbersAdvance) {
   Cluster cluster(QuorumCfg(3, Protocol::kMajorityVoting));
   for (int i = 0; i < 3; ++i) {
-    auto t = RunTxn(cluster, 0, {Write(0, "v" + std::to_string(i))});
+    auto t = cluster.RunTxn(0, {Write(0, "v" + std::to_string(i))});
     ASSERT_TRUE(t.committed);
     cluster.RunFor(sim::Millis(50));
   }
@@ -93,20 +92,20 @@ TEST(Quorum, MajorityVotingWorksInMajorityPartition) {
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
 
   // Majority side succeeds.
-  auto tw = RunTxn(cluster, 2, {Write(0, "maj")});
+  auto tw = cluster.RunTxn(2, {Write(0, "maj")});
   EXPECT_TRUE(tw.committed) << tw.failure.ToString();
   // Minority side cannot assemble a quorum: times out or aborts.
-  auto tm = RunTxn(cluster, 0, {Write(0, "min")}, sim::Seconds(3));
+  auto tm = cluster.RunTxn(0, {Write(0, "min")}, sim::Seconds(3));
   EXPECT_FALSE(tm.committed);
 }
 
 TEST(Quorum, RowaWritesFailWhenAnyCopyUnreachable) {
   Cluster cluster(QuorumCfg(3, Protocol::kRowa));
   cluster.graph().SetAlive(2, false);
-  auto tw = RunTxn(cluster, 0, {Write(0, "x")}, sim::Seconds(3));
+  auto tw = cluster.RunTxn(0, {Write(0, "x")}, sim::Seconds(3));
   EXPECT_FALSE(tw.committed);  // ROWA needs every copy.
   // Reads still work (read-one).
-  auto tr = RunTxn(cluster, 0, {Read(0)});
+  auto tr = cluster.RunTxn(0, {Read(0)});
   EXPECT_TRUE(tr.committed) << tr.failure.ToString();
   EXPECT_EQ(tr.reads[0], "0");
 }
@@ -114,7 +113,7 @@ TEST(Quorum, RowaWritesFailWhenAnyCopyUnreachable) {
 TEST(Quorum, RowaReadCostsOnePhysicalAccess) {
   Cluster cluster(QuorumCfg(5, Protocol::kRowa));
   const auto before = cluster.AggregateStats().phys_reads_sent;
-  auto t = RunTxn(cluster, 3, {Read(1)});
+  auto t = cluster.RunTxn(3, {Read(1)});
   ASSERT_TRUE(t.committed);
   EXPECT_EQ(cluster.AggregateStats().phys_reads_sent - before, 1u);
 }
@@ -122,7 +121,7 @@ TEST(Quorum, RowaReadCostsOnePhysicalAccess) {
 TEST(Quorum, MajorityReadCostsQuorumAccesses) {
   Cluster cluster(QuorumCfg(5, Protocol::kMajorityVoting));
   const auto before = cluster.AggregateStats().phys_reads_sent;
-  auto t = RunTxn(cluster, 3, {Read(1)});
+  auto t = cluster.RunTxn(3, {Read(1)});
   ASSERT_TRUE(t.committed);
   // Minimal selection: exactly ⌈(5+1)/2⌉ = 3 copies contacted.
   EXPECT_EQ(cluster.AggregateStats().phys_reads_sent - before, 3u);
@@ -142,7 +141,7 @@ TEST(Quorum, ConcurrentIncrementsSerialize) {
                                [&n_committed](harness::TxnResult noise) {
                                  if (noise.committed) ++n_committed;
                                });
-      auto t = RunTxn(cluster, p, {Increment(0)}, sim::Seconds(2));
+      auto t = cluster.RunTxn(p, {Increment(0)}, sim::Seconds(2));
       cluster.RunFor(sim::Millis(300));
       if (t.committed) {
         ++n_committed;
@@ -151,7 +150,7 @@ TEST(Quorum, ConcurrentIncrementsSerialize) {
     }
   }
   ASSERT_GE(n_committed, 2);
-  auto t = RunTxn(cluster, 2, {Read(0)});
+  auto t = cluster.RunTxn(2, {Read(0)});
   ASSERT_TRUE(t.committed);
   EXPECT_EQ(t.reads[0], std::to_string(n_committed));
   auto cert = cluster.Certify();
@@ -172,10 +171,10 @@ TEST(Quorum, WeightedPlacementRespectsVotes) {
 
   // p0 alone satisfies both quorums (2 votes).
   cluster.graph().Partition({{0}, {1, 2}});
-  auto t = RunTxn(cluster, 0, {Write(0, "heavy")});
+  auto t = cluster.RunTxn(0, {Write(0, "heavy")});
   EXPECT_TRUE(t.committed) << t.failure.ToString();
   // p1 alone (1 vote) cannot.
-  auto t2 = RunTxn(cluster, 1, {Write(0, "light")}, sim::Seconds(3));
+  auto t2 = cluster.RunTxn(1, {Write(0, "light")}, sim::Seconds(3));
   EXPECT_FALSE(t2.committed);
 }
 

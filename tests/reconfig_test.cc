@@ -85,8 +85,7 @@ TEST(Reconfig, AddCopyCommitsAtVpBoundaryAndBringsNewReplicaCurrent) {
   Cluster cluster(config);
   cluster.RunFor(sim::Seconds(2));
 
-  testutil::TxnOutcome pre =
-      testutil::RunTxn(cluster, 0, {testutil::Write(0, "pre")});
+  harness::TxnResult pre = cluster.RunTxn(0, {testutil::Write(0, "pre")});
   ASSERT_TRUE(pre.committed);
   cluster.RunFor(sim::Millis(200));
 
@@ -102,8 +101,7 @@ TEST(Reconfig, AddCopyCommitsAtVpBoundaryAndBringsNewReplicaCurrent) {
   // the pre-reconfig committed value is already on p3's fresh copy.
   EXPECT_EQ(cluster.store(3).Read(0).value().value, "pre");
 
-  testutil::TxnOutcome post =
-      testutil::RunTxn(cluster, 3, {testutil::Write(0, "post")});
+  harness::TxnResult post = cluster.RunTxn(3, {testutil::Write(0, "post")});
   ASSERT_TRUE(post.committed);
   cluster.RunFor(sim::Seconds(1));
   EXPECT_EQ(cluster.store(3).Read(0).value().value, "post");
@@ -138,8 +136,7 @@ TEST(Reconfig, RemoveAndReweightChangeTheVotingGeometry) {
   // there — impossible under the uniform epoch-0 weights.
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(2));
-  testutil::TxnOutcome heavy =
-      testutil::RunTxn(cluster, 0, {testutil::Write(0, "heavy")});
+  harness::TxnResult heavy = cluster.RunTxn(0, {testutil::Write(0, "heavy")});
   EXPECT_TRUE(heavy.committed) << heavy.failure.ToString();
   cluster.graph().Heal();
   cluster.RunFor(sim::Seconds(3));
@@ -179,8 +176,7 @@ TEST(Reconfig, EpochBoundaryDrainsStraddlingTransactions) {
   EXPECT_FALSE(commit.ok()) << "straddling transaction must drain (abort)";
 
   // Fresh transactions in the new epoch are unaffected.
-  testutil::TxnOutcome fresh =
-      testutil::RunTxn(cluster, 0, {testutil::Write(0, "e1")});
+  harness::TxnResult fresh = cluster.RunTxn(0, {testutil::Write(0, "e1")});
   EXPECT_TRUE(fresh.committed);
   cluster.RunFor(sim::Seconds(1));
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
@@ -246,8 +242,8 @@ TEST(ReconfigAmnesia, RebootDuringEpochTransitionReplaysIntoTheNewEpoch) {
   EXPECT_EQ(cluster.vp_node(1).epoch(), 1u);
   EXPECT_TRUE(cluster.VpConverged());
 
-  testutil::TxnOutcome txn =
-      testutil::RunTxn(cluster, 1, {testutil::Write(0, "after-reboot")});
+  harness::TxnResult txn =
+      cluster.RunTxn(1, {testutil::Write(0, "after-reboot")});
   ASSERT_TRUE(txn.committed);
   cluster.RunFor(sim::Seconds(1));
   EXPECT_TRUE(cluster.recorder().safety_violations().empty());
@@ -267,8 +263,8 @@ TEST(ReconfigAmnesia, PersistedEpochSurvivesARebootAfterTheTransition) {
   cluster.ProposeReconfig(0, {SetWeight(0, 2, 2)});
   cluster.RunFor(sim::Seconds(2));
   ASSERT_EQ(cluster.LatestEpoch(), 1u);
-  testutil::TxnOutcome committed =
-      testutil::RunTxn(cluster, 0, {testutil::Write(0, "durable")});
+  harness::TxnResult committed =
+      cluster.RunTxn(0, {testutil::Write(0, "durable")});
   ASSERT_TRUE(committed.committed);
   cluster.RunFor(sim::Millis(500));
 

@@ -1,11 +1,8 @@
-// Helpers for scripting transactions in simulator tests: cluster configs
-// and a pump loop around the shared transaction-program driver.
+// Helpers for simulator tests: cluster configs, node lists and the op
+// builders of the shared transaction driver (run with Cluster::RunTxn).
 #ifndef VPART_TESTS_TEST_UTIL_H_
 #define VPART_TESTS_TEST_UTIL_H_
 
-#include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "harness/cluster.h"
@@ -28,7 +25,7 @@ inline harness::ClusterConfig Cfg(
   return c;
 }
 
-/// Pointers to every node, in processor order (MakeClients input).
+/// Pointers to every node, in processor order.
 inline std::vector<core::NodeBase*> AllNodes(harness::Cluster& cluster) {
   std::vector<core::NodeBase*> nodes;
   nodes.reserve(cluster.size());
@@ -40,26 +37,6 @@ inline std::vector<core::NodeBase*> AllNodes(harness::Cluster& cluster) {
 using harness::Increment;
 using harness::Read;
 using harness::Write;
-using TxnOutcome = harness::TxnResult;
-
-/// Runs a transaction program (harness/txn_program.h) to its decision,
-/// pumping the cluster; `committed` stays false if the budget runs out.
-inline TxnOutcome RunTxn(harness::Cluster& cluster, ProcessorId at,
-                         std::vector<harness::TxnOp> ops,
-                         sim::Duration budget = sim::Seconds(2)) {
-  // Heap-held, so a decision landing after the budget (the caller may keep
-  // pumping) writes into live state.
-  auto out = std::make_shared<std::optional<TxnOutcome>>();
-  harness::StartTxnProgram(
-      cluster.node(at), std::move(ops),
-      [out](harness::TxnResult r) { *out = std::move(r); });
-  const sim::SimTime deadline = cluster.scheduler().Now() + budget;
-  while (!out->has_value() && cluster.scheduler().Now() < deadline) {
-    if (!cluster.scheduler().RunOne()) break;
-  }
-  return out->value_or(TxnOutcome{});
-}
-
 }  // namespace vp::testutil
 
 #endif  // VPART_TESTS_TEST_UTIL_H_

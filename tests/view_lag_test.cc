@@ -38,15 +38,15 @@ TEST(ViewLag, StragglerRecoversCurrentValuesViaCopyUpdate) {
   cluster.graph().Partition({{0, 1, 2, 3}, {4}});
   cluster.RunFor(sim::Seconds(1));
   for (int i = 1; i <= 3; ++i) {
-    testutil::TxnOutcome w = testutil::RunTxn(
-        cluster, 0, {testutil::Write(0, "v" + std::to_string(i)),
-                     testutil::Write(1, "w" + std::to_string(i))});
+    harness::TxnResult w = cluster.RunTxn(
+        0, {testutil::Write(0, "v" + std::to_string(i)),
+            testutil::Write(1, "w" + std::to_string(i))});
     ASSERT_TRUE(w.committed) << "majority write " << i;
   }
 
   // Mid-operation on the stale side: p4's accesses must be refused by the
   // majority rule, not served from its out-of-date copies.
-  testutil::TxnOutcome stale = testutil::RunTxn(cluster, 4, {testutil::Read(0)});
+  harness::TxnResult stale = cluster.RunTxn(4, {testutil::Read(0)});
   EXPECT_FALSE(stale.committed);
 
   const uint64_t joins_before = cluster.node(4).stats().vp_joins;
@@ -61,7 +61,7 @@ TEST(ViewLag, StragglerRecoversCurrentValuesViaCopyUpdate) {
   EXPECT_EQ(cluster.store(4).Read(0).value().value, "v3");
   EXPECT_EQ(cluster.store(4).Read(1).value().value, "w3");
 
-  testutil::TxnOutcome fresh = testutil::RunTxn(cluster, 4, {testutil::Read(0)});
+  harness::TxnResult fresh = cluster.RunTxn(4, {testutil::Read(0)});
   ASSERT_TRUE(fresh.committed);
   ASSERT_EQ(fresh.reads.size(), 1u);
   EXPECT_EQ(fresh.reads[0], "v3");
@@ -81,8 +81,8 @@ TEST(ViewLag, StragglerRecoversAcrossAnEpochBoundary) {
   cluster.ProposeReconfig(0, {ReconfigOp{ReconfigOp::Kind::kRemoveCopy, 0, 4, 1}});
   cluster.RunFor(sim::Seconds(2));
   ASSERT_EQ(cluster.LatestEpoch(), 1u);
-  testutil::TxnOutcome w = testutil::RunTxn(
-      cluster, 0, {testutil::Write(0, "post"), testutil::Write(1, "post")});
+  harness::TxnResult w = cluster.RunTxn(
+      0, {testutil::Write(0, "post"), testutil::Write(1, "post")});
   ASSERT_TRUE(w.committed);
 
   cluster.graph().Heal();
@@ -96,8 +96,8 @@ TEST(ViewLag, StragglerRecoversAcrossAnEpochBoundary) {
   EXPECT_FALSE(cluster.FinalPlacement().HasCopy(0, 4));
   EXPECT_EQ(cluster.store(4).Read(1).value().value, "post");
 
-  testutil::TxnOutcome fresh =
-      testutil::RunTxn(cluster, 4, {testutil::Read(0), testutil::Read(1)});
+  harness::TxnResult fresh =
+      cluster.RunTxn(4, {testutil::Read(0), testutil::Read(1)});
   ASSERT_TRUE(fresh.committed);
   ASSERT_EQ(fresh.reads.size(), 2u);
   EXPECT_EQ(fresh.reads[0], "post");

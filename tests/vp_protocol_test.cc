@@ -13,8 +13,6 @@ using harness::Cluster;
 using harness::ClusterConfig;
 using harness::Protocol;
 using testutil::Read;
-using testutil::RunTxn;
-using testutil::TxnOutcome;
 using testutil::Write;
 
 ClusterConfig Config(uint32_t n, uint64_t seed = 3) {
@@ -96,13 +94,13 @@ TEST(VpStaleness, MinorityReaderSeesStaleDataUntilProbeDetects) {
   cluster.RunFor(sim::Millis(300));
 
   // Majority writes a new value.
-  auto tw = RunTxn(cluster, 1, {Write(0, "fresh")});
+  auto tw = cluster.RunTxn(1, {Write(0, "fresh")});
   ASSERT_TRUE(tw.committed) << tw.failure.ToString();
   cluster.RunFor(sim::Millis(100));
 
   // p0, still believing its old 5-member view, reads its local copy: the
   // majority of copies is "in view", so the read is permitted — and stale.
-  auto tr = RunTxn(cluster, 0, {Read(0)});
+  auto tr = cluster.RunTxn(0, {Read(0)});
   ASSERT_TRUE(tr.committed) << tr.failure.ToString();
   EXPECT_EQ(tr.reads[0], "0");  // Stale: the fresh value is "fresh".
   cluster.RunFor(sim::Millis(100));
@@ -241,10 +239,10 @@ TEST(VpView, ViewsOfDisjointPartitionsCanOverlapInTime) {
   cluster.RunFor(sim::Seconds(1));
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(1));
-  auto tw_minority = RunTxn(cluster, 0, {Write(0, "x")});
+  auto tw_minority = cluster.RunTxn(0, {Write(0, "x")});
   EXPECT_FALSE(tw_minority.committed);
   EXPECT_TRUE(tw_minority.failure.IsUnavailable());
-  auto tw_majority = RunTxn(cluster, 2, {Write(0, "y")});
+  auto tw_majority = cluster.RunTxn(2, {Write(0, "y")});
   EXPECT_TRUE(tw_majority.committed) << tw_majority.failure.ToString();
 }
 

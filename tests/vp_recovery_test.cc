@@ -12,7 +12,6 @@ using core::RecoveryMode;
 using harness::Cluster;
 using harness::ClusterConfig;
 using harness::Protocol;
-using testutil::RunTxn;
 using testutil::Write;
 
 ClusterConfig RecoveryConfig(RecoveryMode mode, uint64_t seed = 5) {
@@ -33,7 +32,7 @@ void WriteBehindPartition(Cluster& cluster, ObjectId obj, int k) {
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(1));
   for (int i = 0; i < k; ++i) {
-    auto t = RunTxn(cluster, 3, {Write(obj, "v" + std::to_string(i))});
+    auto t = cluster.RunTxn(3, {Write(obj, "v" + std::to_string(i))});
     ASSERT_TRUE(t.committed) << t.failure.ToString();
     cluster.RunFor(sim::Millis(50));
   }
@@ -96,7 +95,7 @@ TEST(VpRecovery, PreviousSkipAvoidsWorkOnCleanSplit) {
   EXPECT_GT(after.recovery_skipped_objects, before.recovery_skipped_objects);
 
   // And the data is still correct afterwards.
-  auto t = RunTxn(cluster, 3, {Write(0, "post-split")});
+  auto t = cluster.RunTxn(3, {Write(0, "post-split")});
   EXPECT_TRUE(t.committed) << t.failure.ToString();
   cluster.RunFor(sim::Millis(100));
   auto cert = cluster.Certify();
@@ -132,7 +131,7 @@ TEST(VpRecovery, ReadAfterHealSeesLatestValue) {
     Cluster cluster(RecoveryConfig(mode, 17));
     WriteBehindPartition(cluster, 0, 3);
     // A read served by a previously-stale copy must return the latest value.
-    auto t = RunTxn(cluster, 0, {testutil::Read(0)});
+    auto t = cluster.RunTxn(0, {testutil::Read(0)});
     ASSERT_TRUE(t.committed) << t.failure.ToString();
     EXPECT_EQ(t.reads[0], "v2") << "mode " << static_cast<int>(mode);
     cluster.RunFor(sim::Millis(100));
@@ -147,7 +146,7 @@ TEST(VpRecovery, MultipleObjectsRecoverIndependently) {
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(1));
   for (ObjectId obj = 0; obj < 3; ++obj) {
-    auto t = RunTxn(cluster, 2, {Write(obj, "obj" + std::to_string(obj))});
+    auto t = cluster.RunTxn(2, {Write(obj, "obj" + std::to_string(obj))});
     ASSERT_TRUE(t.committed) << t.failure.ToString();
   }
   cluster.graph().Heal();

@@ -171,7 +171,7 @@ TEST(VpDatePoll, StaleCopyFetchesExactlyOneValue) {
   ASSERT_TRUE(cluster.VpConverged());
   cluster.graph().Partition({{0, 1}, {2, 3, 4}});
   cluster.RunFor(sim::Seconds(1));
-  auto t = testutil::RunTxn(cluster, 3, {testutil::Write(0, "fresh")});
+  auto t = cluster.RunTxn(3, {testutil::Write(0, "fresh")});
   ASSERT_TRUE(t.committed) << t.failure.ToString();
   cluster.RunFor(sim::Millis(100));
 
