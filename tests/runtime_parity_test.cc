@@ -9,7 +9,10 @@
 //
 // Eight pinned configurations cover both nemesis seeds used elsewhere as
 // anchors (3, 438) across protocols and the harsh/reliable generator, and
-// a 25-seed smoke sweep covers the default VP generator.
+// a 25-seed smoke sweep covers the default VP generator. A third table
+// pins ROWA and the naive-view strawman at the same anchors, and VP and
+// quorum on a crash-amnesia plan whose reboots retire a coordinator with
+// logical operations in flight.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,16 +32,28 @@ uint64_t Fnv1a(const std::string& s) {
   return h;
 }
 
+/// Runs the plan `gen` generates for `seed` under `proto`. Every protocol
+/// but the naive-view strawman must come out violation-free; the strawman
+/// violates by design, so its plans must violate.
+uint64_t DigestFor(uint64_t seed, harness::Protocol proto,
+                   const nemesis::GeneratorConfig& gen) {
+  nemesis::FaultPlan plan = nemesis::GeneratePlan(seed, gen);
+  plan.protocol = proto;
+  nemesis::RunOutcome out = nemesis::RunPlan(plan);
+  if (proto == harness::Protocol::kNaiveView) {
+    EXPECT_TRUE(out.violation()) << "naive-view ran clean at seed " << seed;
+  } else {
+    EXPECT_FALSE(out.violation()) << out.failure;
+  }
+  return Fnv1a(out.trace);
+}
+
 uint64_t DigestFor(uint64_t seed, harness::Protocol proto, bool harsh,
                    bool reliable) {
   nemesis::GeneratorConfig gen;
   gen.harsh = harsh;
   gen.reliable = reliable;
-  nemesis::FaultPlan plan = nemesis::GeneratePlan(seed, gen);
-  plan.protocol = proto;
-  nemesis::RunOutcome out = nemesis::RunPlan(plan);
-  EXPECT_FALSE(out.violation()) << out.failure;
-  return Fnv1a(out.trace);
+  return DigestFor(seed, proto, gen);
 }
 
 struct Golden {
@@ -67,6 +82,33 @@ TEST(RuntimeParity, PinnedConfigurationsMatchGoldenDigests) {
         << harness::ProtocolName(g.proto) << " harsh=" << g.harsh
         << " reliable=" << g.reliable;
   }
+}
+
+TEST(RuntimeParity, ComparatorAndRebootPathsMatchGoldenDigests) {
+  using harness::Protocol;
+  const Golden kHarsh[] = {
+      {3, Protocol::kRowa, true, true, 0x9e71e1981074dfa1ULL},
+      {438, Protocol::kRowa, true, true, 0x75c2f2ab92669e2dULL},
+      {3, Protocol::kNaiveView, true, true, 0x24ae03b056443277ULL},
+      {438, Protocol::kNaiveView, true, true, 0x5ed9f00bb6d16954ULL},
+  };
+  for (const Golden& g : kHarsh) {
+    EXPECT_EQ(DigestFor(g.seed, g.proto, g.harsh, g.reliable), g.digest)
+        << "trace drift at seed " << g.seed << " protocol "
+        << harness::ProtocolName(g.proto);
+  }
+  // The fault-storm generator settings: crash-amnesia with the reliable
+  // channel. Seed 3's plan reboots a coordinator with a logical operation
+  // in flight under both protocols, so the crash sweep of pending ops is
+  // part of the pinned trace.
+  nemesis::GeneratorConfig amnesia;
+  amnesia.enable_amnesia = true;
+  amnesia.reliable = true;
+  EXPECT_EQ(DigestFor(3, Protocol::kVirtualPartition, amnesia),
+            0x124fec9e8bf77384ULL)
+      << "trace drift at amnesia seed 3, virtual-partition";
+  EXPECT_EQ(DigestFor(3, Protocol::kQuorum, amnesia), 0xaaaf68c639c066a6ULL)
+      << "trace drift at amnesia seed 3, quorum";
 }
 
 TEST(RuntimeParity, SmokeSweepMatchesGoldenDigests) {
