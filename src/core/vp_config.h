@@ -66,10 +66,6 @@ struct VpConfig {
   /// How copies are initialized when joining a partition (R5).
   RecoveryMode recovery = RecoveryMode::kFullRead;
 
-  /// R2 allows a failed physical read to be retried at another copy before
-  /// aborting; Fig. 10 as printed aborts immediately (the default).
-  bool read_retry = false;
-
   /// §6 weakened R4: when true, a physical access whose vp-id differs from
   /// the serving processor's current vp is still accepted if the
   /// transaction's footprint is contained in the server's current view and

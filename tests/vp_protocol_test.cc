@@ -1,5 +1,5 @@
 // Protocol-mechanism tests: R4 and its §6 weakening, stale reads across
-// overlapping views, R2 read retry, commit blocking with in-doubt stages,
+// overlapping views, commit blocking with in-doubt stages,
 // and view-management details.
 #include <gtest/gtest.h>
 
@@ -113,31 +113,6 @@ TEST(VpStaleness, MinorityReaderSeesStaleDataUntilProbeDetects) {
   // Once probing kicks in, p0's view shrinks and the staleness window ends.
   cluster.RunFor(sim::Seconds(5));
   EXPECT_EQ(cluster.vp_node(0).view(), (std::set<ProcessorId>{0}));
-}
-
-TEST(VpReadRetry, FallbackToAnotherCopyOnLockTimeout) {
-  ClusterConfig config = Config(3, 31);
-  config.vp.read_retry = true;
-  config.vp.lock_timeout = sim::Millis(30);
-  Cluster cluster(config);
-  cluster.RunFor(sim::Seconds(1));
-  ASSERT_TRUE(cluster.VpConverged());
-
-  // Write-lock object 0 at p0 (the nearest copy for p0's reads) with a
-  // foreign transaction that never completes.
-  TxnId blocker{2, 999};
-  cluster.locks(0).Acquire(blocker, 0, cc::LockMode::kExclusive,
-                           sim::Seconds(60), [](Status) {});
-
-  auto& node = cluster.vp_node(0);
-  TxnId txn = node.NewTxnId();
-  node.Begin(txn);
-  Result<core::ReadResult> result = Status::Internal("pending");
-  node.LogicalRead(txn, 0, [&](Result<core::ReadResult> r) { result = r; });
-  cluster.RunFor(sim::Millis(500));
-  // The read failed at p0 (lock timeout) but succeeded at a fallback copy.
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(result.value().served_by, 0u);
 }
 
 TEST(VpCommit, OutcomeRetriesReachParticipantAfterHeal) {
