@@ -8,11 +8,12 @@ namespace vp::core {
 
 NodeBase::NodeBase(ProcessorId id, NodeEnv env,
                    runtime::Duration lock_timeout,
-                   runtime::Duration outcome_retry_period)
+                   runtime::Duration outcome_retry_period, OpRules op_rules)
     : id_(id),
       env_(env),
       lock_timeout_(lock_timeout),
-      outcome_retry_period_(outcome_retry_period) {
+      outcome_retry_period_(outcome_retry_period),
+      op_rules_(op_rules) {
   VP_CHECK(env_.clock && env_.executor && env_.transport &&
            env_.placement && env_.store && env_.locks && env_.recorder);
   metrics_ = env_.metrics != nullptr ? env_.metrics
@@ -61,12 +62,27 @@ void NodeBase::Start() {
 }
 
 void NodeBase::Retire() {
+  // Fail the logical ops in flight; their transactions die with the
+  // coordinator's volatile state. Under fail_txn_on_retire the abort
+  // broadcasts ride the reliable channel when it is enabled, and the
+  // channel is orphaned below rather than shut down, so they keep
+  // retransmitting until their delivery deadline and reach the
+  // participants if the processor revives in time. Otherwise participants
+  // fall back to the in-doubt sweep against the presumed-abort decision
+  // log.
+  OpTable ops = std::move(ops_);
+  ops_.clear();
+  for (auto& [op_id, op] : ops) {
+    env_.executor->Cancel(op.deadline);
+    if (op_rules_.cancel_leftovers) CancelLeftovers(op);
+    if (op_rules_.fail_txn_on_retire) OpFailed(op.txn, op.max_lock_wait_us);
+    Deliver(op, Status::Aborted("processor crashed"));
+  }
   retired_ = true;
-  // Orphan, not Shutdown: pending reliable sends — notably the abort
-  // broadcasts issued while failing in-flight operations just above in
-  // derived Retire()s — keep retransmitting until their delivery deadline,
-  // so a quickly-revived processor still gets them out. Only the timeout
-  // hooks are cleared (they capture this retired object).
+  // Orphan, not Shutdown: pending reliable sends keep retransmitting until
+  // their delivery deadline, so a quickly-revived processor still gets them
+  // out. Only the timeout hooks are cleared (they capture this retired
+  // object).
   if (rel_ != nullptr) rel_->Orphan();
   for (auto& [txn, rec] : txns_) {
     if (rec.retry_event != runtime::kInvalidTask) {
@@ -159,6 +175,16 @@ void NodeBase::ReplayWal() {
 NodeBase::TxnRec* NodeBase::FindTxn(TxnId txn) {
   auto it = txns_.find(txn);
   return it == txns_.end() ? nullptr : &it->second;
+}
+
+Status NodeBase::AdmitOp(TxnId txn, TxnRec** rec_out) {
+  TxnRec* rec = FindTxn(txn);
+  if (rec == nullptr) return Status::NotFound("unknown transaction");
+  *rec_out = rec;
+  if (rec->st != cc::TxnOutcome::kActive || rec->doomed) {
+    return Status::Aborted("transaction already doomed");
+  }
+  return Status::Ok();
 }
 
 void NodeBase::Begin(TxnId txn) {
@@ -346,6 +372,199 @@ void NodeBase::OpFailed(TxnId txn, uint64_t lock_wait_us) {
     rec->path.OpCompleted(env_.clock->Now(), lock_wait_us);
   }
   InternalAbort(txn);
+}
+
+// ---------------------------------------------------------------------------
+// Logical-op table.
+// ---------------------------------------------------------------------------
+
+namespace {
+constexpr std::string_view kDeliveryTimeout = "delivery-timeout";
+}  // namespace
+
+NodeBase::LogicalOp& NodeBase::StartOp(TxnRec* rec, TxnId txn, ObjectId obj,
+                                       bool is_write,
+                                       runtime::Duration deadline,
+                                       const char* expiry) {
+  const uint64_t op_id = next_op_id_++;
+  auto [it, inserted] = ops_.try_emplace(op_id);
+  VP_CHECK(inserted);
+  LogicalOp& op = it->second;
+  op.id = op_id;
+  op.txn = txn;
+  op.obj = obj;
+  op.is_write = is_write;
+  op.trace = rec->trace;
+  op.expiry = expiry;
+  ArmDeadline(op, deadline);
+  op.issued_at = OpIssued(rec, is_write);
+  return op;
+}
+
+NodeBase::LogicalOp& NodeBase::StartRead(TxnRec* rec, TxnId txn, ObjectId obj,
+                                         ReadCallback cb,
+                                         runtime::Duration deadline,
+                                         const char* expiry) {
+  LogicalOp& op = StartOp(rec, txn, obj, /*is_write=*/false, deadline, expiry);
+  op.read_cb = std::move(cb);
+  return op;
+}
+
+NodeBase::LogicalOp& NodeBase::StartWrite(TxnRec* rec, TxnId txn,
+                                          ObjectId obj, Value value,
+                                          WriteCallback cb,
+                                          runtime::Duration deadline,
+                                          const char* expiry) {
+  LogicalOp& op = StartOp(rec, txn, obj, /*is_write=*/true, deadline, expiry);
+  op.value = std::move(value);
+  op.write_cb = std::move(cb);
+  return op;
+}
+
+void NodeBase::ArmDeadline(LogicalOp& op, runtime::Duration deadline) {
+  op.deadline = env_.executor->ScheduleAfter(
+      deadline, [this, op_id = op.id]() { ExpireOp(op_id); });
+}
+
+void NodeBase::RearmDeadline(LogicalOp& op, runtime::Duration deadline,
+                             const char* expiry) {
+  env_.executor->Cancel(op.deadline);
+  op.expiry = expiry;
+  ArmDeadline(op, deadline);
+}
+
+void NodeBase::SendOpRequest(LogicalOp& op, ProcessorId q,
+                             msg::PhysRead req) {
+  ++stats_.phys_reads_sent;
+  SendOpMessage(op, q, msg::kPhysRead, std::move(req), /*is_write=*/false);
+}
+
+void NodeBase::SendOpRequest(LogicalOp& op, ProcessorId q,
+                             msg::PhysWrite req) {
+  ++stats_.phys_writes_sent;
+  SendOpMessage(op, q, msg::kPhysWrite, std::move(req), /*is_write=*/true);
+}
+
+void NodeBase::SendOpMessage(LogicalOp& op, ProcessorId q, const char* type,
+                             std::any body, bool is_write) {
+  op.awaits_write_replies = is_write;
+  // Channel hooks only for requests that ride the channel: raw sends
+  // never retransmit or time out.
+  const bool via_channel = rel_ != nullptr && q != id_;
+  net::ReliableChannel::TimeoutFn on_timeout;
+  if (via_channel && op_rules_.nack_on_delivery_timeout) {
+    on_timeout = [this, op_id = op.id, q, is_write]() {
+      if (retired_) return;
+      OpReply nack;
+      nack.from = q;
+      nack.is_write = is_write;
+      nack.error = kDeliveryTimeout;
+      HandleOpReply(op_id, nack);
+    };
+  }
+  const uint64_t rel_id =
+      SendPhys(q, type, std::move(body), std::move(on_timeout), op.trace,
+               via_channel ? RetransmitToPath(op.txn) : nullptr);
+  if (op_rules_.cancel_leftovers && rel_id != 0) {
+    op.rel_ids.emplace_back(q, rel_id);
+  }
+}
+
+void NodeBase::CancelLeftovers(const LogicalOp& op) {
+  for (const auto& [q, rel_id] : op.rel_ids) {
+    if (op.awaiting.count(q) > 0) CancelPhys(rel_id);
+  }
+}
+
+void NodeBase::KeepNewest(LogicalOp& op, const OpReply& r) {
+  if (!op.have_value || op.best_date < r.date) {
+    op.best_value = *r.value;
+    op.best_date = r.date;
+    op.have_value = true;
+  }
+}
+
+NodeBase::OpStep NodeBase::OnOpReply(LogicalOp& op, const OpReply& r) {
+  if (!r.ok) return OpStep::kFailed;
+  if (r.value != nullptr) KeepNewest(op, r);
+  op.awaiting.erase(r.from);
+  return op.awaiting.empty() ? OpStep::kDone : OpStep::kPending;
+}
+
+NodeBase::LogicalOp NodeBase::TakeOp(OpTable::iterator it) {
+  LogicalOp op = std::move(it->second);
+  ops_.erase(it);
+  env_.executor->Cancel(op.deadline);
+  if (op_rules_.cancel_leftovers) CancelLeftovers(op);
+  return op;
+}
+
+void NodeBase::Deliver(LogicalOp& op, Status why) {
+  if (op.is_write) {
+    op.write_cb(std::move(why));
+  } else {
+    op.read_cb(std::move(why));
+  }
+}
+
+bool NodeBase::HandleOpReply(uint64_t op_id, const OpReply& r) {
+  auto it = ops_.find(op_id);
+  if (it == ops_.end()) return false;
+  LogicalOp& op = it->second;
+  if (r.is_write != op.awaits_write_replies) return true;  // Stale phase.
+  TxnRec* rec = FindTxn(op.txn);
+  if (op_rules_.drop_replies_after_decision &&
+      (rec == nullptr || rec->st != cc::TxnOutcome::kActive)) {
+    LogicalOp done = TakeOp(it);
+    Deliver(done, Status::Aborted("transaction aborted"));
+    return true;
+  }
+  // A copy that granted the access holds a lock for the transaction.
+  if (r.ok && rec != nullptr) rec->participants.insert(r.from);
+  if (op.max_lock_wait_us < r.lock_wait_us) {
+    op.max_lock_wait_us = r.lock_wait_us;
+  }
+  switch (OnOpReply(op, r)) {
+    case OpStep::kPending:
+      break;
+    case OpStep::kDone: {
+      LogicalOp done = TakeOp(it);
+      if (done.is_write) {
+        WriteDone(done.txn, done.obj, done.value, done.issued_at,
+                  done.max_lock_wait_us);
+        done.write_cb(Status::Ok());
+      } else {
+        // served_by is the copy whose reply completed the read.
+        const ReadResult result{std::move(done.best_value), done.best_date,
+                                r.from};
+        ReadDone(done.txn, done.obj, result, done.issued_at,
+                 done.max_lock_wait_us);
+        done.read_cb(result);
+      }
+      break;
+    }
+    case OpStep::kFailed: {
+      LogicalOp done = TakeOp(it);
+      OpFailed(done.txn, done.max_lock_wait_us);
+      const char* what = r.is_write ? "physical write" : "physical read";
+      Deliver(done, r.error == kDeliveryTimeout
+                        ? Status::Timeout(std::string(what) +
+                                          " delivery deadline passed")
+                        : Status::Aborted(std::string(what) + " failed: " +
+                                          std::string(r.error)));
+      break;
+    }
+  }
+  return true;
+}
+
+void NodeBase::ExpireOp(uint64_t op_id) {
+  auto it = ops_.find(op_id);
+  if (it == ops_.end()) return;
+  LogicalOp op = TakeOp(it);
+  OpFailed(op.txn, op.max_lock_wait_us);
+  OnOpExpired();
+  Deliver(op, Status::Timeout(op.expiry));
 }
 
 // ---------------------------------------------------------------------------
@@ -695,6 +914,25 @@ void NodeBase::Dispatch(const net::Message& m) {
     HandlePhysRead(m);
   } else if (m.type == msg::kPhysWrite) {
     HandlePhysWrite(m);
+  } else if (m.type == msg::kPhysReadReply) {
+    const auto& body = net::BodyAs<msg::PhysReadReply>(m);
+    OpReply r;
+    r.from = m.src;
+    r.ok = body.ok;
+    r.error = body.error;
+    r.lock_wait_us = body.lock_wait_us;
+    r.value = &body.value;
+    r.date = body.date;
+    if (!HandleOpReply(body.op_id, r)) HandleProtocolMessage(m);
+  } else if (m.type == msg::kPhysWriteReply) {
+    const auto& body = net::BodyAs<msg::PhysWriteReply>(m);
+    OpReply r;
+    r.from = m.src;
+    r.is_write = true;
+    r.ok = body.ok;
+    r.error = body.error;
+    r.lock_wait_us = body.lock_wait_us;
+    if (!HandleOpReply(body.op_id, r)) HandleProtocolMessage(m);
   } else if (m.type == msg::kLogQuery) {
     HandleLogQuery(m);
   } else if (m.type == msg::kTxnOutcome) {

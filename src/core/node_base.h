@@ -6,13 +6,17 @@
 //  * participant-side physical access: strict-2PL locking, write staging,
 //    outcome application, and in-doubt resolution by querying the
 //    coordinator,
+//  * the coordinator-side table of logical reads and writes in flight:
+//    start, physical requests, deadline, reply bookkeeping, result
+//    delivery, failure, and the crash sweep,
 //  * per-node protocol statistics,
 //  * one emission point per protocol event (logical op issued / read done /
 //    write done / failed, participant nack / served), each fanning out to
 //    the recorder, metrics, tracer, flight recorder and ProtocolStats.
 //
 // Derived protocols plug in their policies via the Validate*/MaybeDefer
-// hooks and implement the logical read/write translation.
+// hooks, their OpRules and the OnOpReply/OnOpExpired hooks, and translate
+// a logical read/write into the copies it asks.
 #ifndef VPART_CORE_NODE_BASE_H_
 #define VPART_CORE_NODE_BASE_H_
 
@@ -20,7 +24,9 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cc/lock_manager.h"
@@ -81,8 +87,27 @@ struct NodeEnv {
 /// Base class of all protocol nodes. See file comment.
 class NodeBase : public net::NodeInterface, public ReplicaControl {
  public:
+  /// How a protocol's logical ops differ in mechanics, passed in by each
+  /// derived class so the op table never asks which protocol it serves.
+  struct OpRules {
+    /// A reliable-channel delivery deadline comes back as a Timeout nack
+    /// from the copy, so the op fails (or, under vote counting, loses that
+    /// vote) at once instead of waiting out its own deadline.
+    bool nack_on_delivery_timeout = false;
+    /// When an op ends, stop retransmitting its requests that are still
+    /// unanswered: a vote quorum can complete or fail with some left, and
+    /// one served after the decision is an access outside 2PL.
+    bool cancel_leftovers = false;
+    /// A reply for a transaction that is no longer active fails the op
+    /// with Aborted and reports nothing to the sinks.
+    bool drop_replies_after_decision = false;
+    /// Retire runs OpFailed (doom + abort) for each op in flight before
+    /// failing its callback; otherwise it only fails the callback.
+    bool fail_txn_on_retire = false;
+  };
+
   NodeBase(ProcessorId id, NodeEnv env, runtime::Duration lock_timeout,
-           runtime::Duration outcome_retry_period);
+           runtime::Duration outcome_retry_period, OpRules op_rules);
   ~NodeBase() override = default;
 
   // --- ReplicaControl (common parts) ---
@@ -102,8 +127,8 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   virtual void Start();
 
   /// Permanently stops this node object: cancels its timers, fails its
-  /// pending work, and marks it retired so already-scheduled closures
-  /// become no-ops. Called by the harness just before a crash-amnesia
+  /// logical ops in flight (see OpRules::fail_txn_on_retire), and marks it
+  /// retired so already-scheduled closures become no-ops. Called by the harness just before a crash-amnesia
   /// reboot replaces the object. The retired object is kept alive (never
   /// destroyed mid-run) so captured `this` pointers stay valid.
   virtual void Retire();
@@ -168,37 +193,107 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   /// gate off.
   virtual bool EpochGated() const { return true; }
   /// Dispatch for protocol-specific message types. Return false if the
-  /// type is unknown.
-  virtual bool HandleProtocolMessage(const net::Message& m) = 0;
+  /// type is unknown. Read/write replies that match no logical op in
+  /// flight also land here (VP's recovery reads share the read-reply
+  /// type); the base drops them when this returns false.
+  virtual bool HandleProtocolMessage(const net::Message&) { return false; }
 
   // --- coordinator-side helpers ---
   TxnRec* FindTxn(TxnId txn);
+  /// Looks up `txn` for a new logical op: NotFound if unknown, Aborted if
+  /// it is decided or doomed.
+  Status AdmitOp(TxnId txn, TxnRec** rec_out);
   /// Dooms and aborts an active transaction; broadcasts the abort outcome.
   void InternalAbort(TxnId txn);
   /// Decides and broadcasts; rec.st must be kActive.
   void Decide(TxnId txn, TxnRec* rec, bool committed);
   void BroadcastOutcome(TxnId txn);
 
-  // --- coordinator-side logical-op events ---
-  // Each protocol reports a logical operation's life through these, so
-  // every protocol feeds the same sinks: the critical path, the recorder
-  // (the certifier's input), the phys.* metrics, the phys.read/phys.write
-  // spans and ProtocolStats. The caller keeps its own bookkeeping and
-  // delivers the result to the client callback afterwards.
-  /// A logical read/write of `rec`'s transaction issued its first physical
-  /// request. Returns the issue time, which the caller hands back to
-  /// ReadDone/WriteDone.
-  runtime::TimePoint OpIssued(TxnRec* rec, bool is_write);
-  /// The logical read of `obj` resolved to `r`. `lock_wait_us` is the
-  /// slowest participant-reported lock wait of the op.
-  void ReadDone(TxnId txn, ObjectId obj, const ReadResult& r,
-                runtime::TimePoint issued_at, uint64_t lock_wait_us);
-  /// The logical write of `value` to `obj` reached every copy it needs.
-  void WriteDone(TxnId txn, ObjectId obj, const Value& value,
-                 runtime::TimePoint issued_at, uint64_t lock_wait_us);
-  /// An issued logical op failed (nack, timeout, crash): closes its
-  /// critical-path window, dooms and aborts the transaction.
-  void OpFailed(TxnId txn, uint64_t lock_wait_us);
+  // --- coordinator-side logical ops ---
+  // Every logical read or write lives in one table keyed by op id, from
+  // its first physical request until its result reaches the caller. The
+  // protocol picks the copies and the completion rule; the table does the
+  // rest: the deadline, reply bookkeeping, the sinks (critical path,
+  // recorder, phys.* metrics and spans, ProtocolStats) and the callback.
+
+  /// One logical read or write in flight.
+  struct LogicalOp {
+    uint64_t id = 0;
+    TxnId txn;
+    ObjectId obj = kInvalidObject;
+    bool is_write = false;
+    /// Kind of the requests now outstanding; replies of the other kind are
+    /// stale (a quorum write polls with reads, then writes).
+    bool awaits_write_replies = false;
+    uint64_t trace = 0;
+    ReadCallback read_cb;    // Reads.
+    WriteCallback write_cb;  // Writes.
+    Value value;             // Writes: the value to install.
+    /// Copies whose reply the op still needs. A read that asks a single
+    /// copy leaves it empty: its first reply settles it.
+    std::set<ProcessorId> awaiting;
+    /// Vote counting (quorum): votes granted so far, and the quorum.
+    Weight votes = 0;
+    Weight votes_needed = 0;
+    /// Quorum writes: the copies that granted the version poll, which
+    /// phase 2 writes.
+    std::set<ProcessorId> polled;
+    /// Newest value read so far (a version poll keeps only the date).
+    Value best_value;
+    VpId best_date;
+    bool have_value = false;
+    /// Slowest participant-reported lock wait (critical-path attribution).
+    uint64_t max_lock_wait_us = 0;
+    runtime::TimePoint issued_at = 0;
+    runtime::TaskId deadline = runtime::kInvalidTask;
+    /// Timeout text the callback gets when the deadline passes.
+    const char* expiry = "";
+    /// Channel ids of the requests sent (OpRules::cancel_leftovers only).
+    std::vector<std::pair<ProcessorId, uint64_t>> rel_ids;
+  };
+
+  /// A reply to one physical request of a logical op, or the nack a
+  /// delivery deadline synthesizes.
+  struct OpReply {
+    ProcessorId from = kInvalidProcessor;
+    bool is_write = false;
+    bool ok = false;
+    std::string_view error;
+    uint64_t lock_wait_us = 0;
+    const Value* value = nullptr;  // Read replies.
+    VpId date;
+  };
+  enum class OpStep { kPending, kDone, kFailed };
+
+  /// Starts a logical read/write of `obj` for `rec`'s transaction: takes
+  /// an op id, arms a `deadline` whose expiry fails the op with
+  /// Timeout(`expiry`), and reports the issue. The caller then fills in
+  /// its copies and sends its requests.
+  LogicalOp& StartRead(TxnRec* rec, TxnId txn, ObjectId obj, ReadCallback cb,
+                       runtime::Duration deadline, const char* expiry);
+  LogicalOp& StartWrite(TxnRec* rec, TxnId txn, ObjectId obj, Value value,
+                        WriteCallback cb, runtime::Duration deadline,
+                        const char* expiry);
+  /// Sends one physical request of `op` to `q` and counts it in
+  /// ProtocolStats. Replies of that kind are what `op` now awaits.
+  void SendOpRequest(LogicalOp& op, ProcessorId q, msg::PhysRead req);
+  void SendOpRequest(LogicalOp& op, ProcessorId q, msg::PhysWrite req);
+  /// Replaces `op`'s deadline (a new phase gets a fresh one).
+  void RearmDeadline(LogicalOp& op, runtime::Duration deadline,
+                     const char* expiry);
+  /// Stops retransmitting `op`'s requests to copies still in `awaiting`.
+  void CancelLeftovers(const LogicalOp& op);
+  /// Keeps the newer of `op`'s best value and read reply `r`.
+  static void KeepNewest(LogicalOp& op, const OpReply& r);
+
+  /// Completion rule, called for each current-phase reply of a live op
+  /// after the base recorded its lock wait (and, if ok, its sender as a
+  /// participant). The default: the op completes when every copy in
+  /// `awaiting` accepted, and any nack fails it.
+  virtual OpStep OnOpReply(LogicalOp& op, const OpReply& r);
+  /// Runs when an op's deadline passes, after OpFailed and before the
+  /// callback (VP suspects its view).
+  virtual void OnOpExpired() {}
 
   // --- participant-side helpers ---
   void HandlePhysRead(const net::Message& m);
@@ -353,6 +448,39 @@ class NodeBase : public net::NodeInterface, public ReplicaControl {
   void Dispatch(const net::Message& m);
   void ScheduleInDoubtSweep();
   void ScheduleOutcomeRetry(TxnId txn);
+
+  // --- logical-op table internals ---
+  // Each op's life reaches the sinks through these emission points.
+  /// Returns the issue time, kept in the op for ReadDone/WriteDone.
+  runtime::TimePoint OpIssued(TxnRec* rec, bool is_write);
+  /// The logical read of `obj` resolved to `r`. `lock_wait_us` is the
+  /// slowest participant-reported lock wait of the op.
+  void ReadDone(TxnId txn, ObjectId obj, const ReadResult& r,
+                runtime::TimePoint issued_at, uint64_t lock_wait_us);
+  /// The logical write of `value` to `obj` reached every copy it needs.
+  void WriteDone(TxnId txn, ObjectId obj, const Value& value,
+                 runtime::TimePoint issued_at, uint64_t lock_wait_us);
+  /// An issued logical op failed (nack, timeout, crash): closes its
+  /// critical-path window, dooms and aborts the transaction.
+  void OpFailed(TxnId txn, uint64_t lock_wait_us);
+
+  using OpTable = std::map<uint64_t, LogicalOp>;
+  LogicalOp& StartOp(TxnRec* rec, TxnId txn, ObjectId obj, bool is_write,
+                     runtime::Duration deadline, const char* expiry);
+  void ArmDeadline(LogicalOp& op, runtime::Duration deadline);
+  void SendOpMessage(LogicalOp& op, ProcessorId q, const char* type,
+                     std::any body, bool is_write);
+  /// Settles a reply to op `op_id`; false if no such op is in flight.
+  bool HandleOpReply(uint64_t op_id, const OpReply& r);
+  void ExpireOp(uint64_t op_id);
+  /// Removes the op from the table and stops its deadline and (per
+  /// OpRules) its leftover requests; the caller delivers its result.
+  LogicalOp TakeOp(OpTable::iterator it);
+  /// Fails `op`'s callback with `why`.
+  static void Deliver(LogicalOp& op, Status why);
+
+  const OpRules op_rules_;
+  OpTable ops_;
 };
 
 }  // namespace vp::core

@@ -7,13 +7,15 @@
 namespace vp::protocols {
 
 using core::msg::PhysRead;
-using core::msg::PhysReadReply;
 using core::msg::PhysWrite;
-using core::msg::PhysWriteReply;
 
 NaiveViewNode::NaiveViewNode(ProcessorId id, core::NodeEnv env,
                              NaiveConfig config)
-    : NodeBase(id, env, config.lock_timeout, config.outcome_retry_period),
+    : NodeBase(id, env, config.lock_timeout, config.outcome_retry_period,
+               OpRules{.nack_on_delivery_timeout = true,
+                       .cancel_leftovers = false,
+                       .drop_replies_after_decision = false,
+                       .fail_txn_on_retire = true}),
       config_(config) {}
 
 std::set<ProcessorId> NaiveViewNode::CurrentView() const {
@@ -29,9 +31,10 @@ std::set<ProcessorId> NaiveViewNode::CurrentView() const {
 void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
                                 core::ReadCallback cb) {
   ++stats_.reads_attempted;
-  TxnRec* rec = FindTxn(txn);
-  if (rec == nullptr || rec->st != cc::TxnOutcome::kActive || rec->doomed) {
-    cb(Status::Aborted("transaction not active"));
+  TxnRec* rec = nullptr;
+  Status admit = AdmitOp(txn, &rec);
+  if (!admit.ok()) {
+    cb(admit);
     return;
   }
   const std::set<ProcessorId> view = CurrentView();
@@ -53,39 +56,22 @@ void NaiveViewNode::LogicalRead(TxnId txn, ObjectId obj,
     }
   }
   VP_CHECK(target != kInvalidProcessor);
-
-  const uint64_t op_id = next_op_id_++;
-  PendingRead pr;
-  pr.txn = txn;
-  pr.obj = obj;
-  pr.cb = std::move(cb);
-  pr.timeout_event = env_.executor->ScheduleAfter(
-      config_.op_timeout + config_.lock_timeout, [this, op_id]() {
-        auto it = pending_reads_.find(op_id);
-        if (it == pending_reads_.end()) return;
-        PendingRead done = std::move(it->second);
-        pending_reads_.erase(it);
-        OpFailed(done.txn, /*lock_wait_us=*/0);
-        done.cb(Status::Timeout("copy holder unresponsive"));
-      });
+  LogicalOp& op = StartRead(rec, txn, obj, std::move(cb),
+                            config_.op_timeout + config_.lock_timeout,
+                            "copy holder unresponsive");
   rec->participants.insert(target);
-  ++stats_.phys_reads_sent;
-  pr.issued_at = OpIssued(rec, /*is_write=*/false);
-  SendPhys(target, core::msg::kPhysRead,
-           PhysRead{txn, obj, kEpochDate, /*epoch=*/0, /*recovery=*/false,
-                    /*for_update=*/false, op_id, {}},
-           [this, op_id, target]() {
-             OnDeliveryTimeout(op_id, target, /*write_phase=*/false);
-           },
-           rec->trace, RetransmitToPath(txn));
-  pending_reads_[op_id] = std::move(pr);
+  SendOpRequest(op, target,
+                PhysRead{txn, obj, kEpochDate, /*epoch=*/0,
+                         /*recovery=*/false, /*for_update=*/false, op.id,
+                         {}});
 }
 
 void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
                                  core::WriteCallback cb) {
-  TxnRec* rec = FindTxn(txn);
-  if (rec == nullptr || rec->st != cc::TxnOutcome::kActive || rec->doomed) {
-    cb(Status::Aborted("transaction not active"));
+  TxnRec* rec = nullptr;
+  Status admit = AdmitOp(txn, &rec);
+  if (!admit.ok()) {
+    cb(admit);
     return;
   }
   const std::set<ProcessorId> view = CurrentView();
@@ -95,110 +81,19 @@ void NaiveViewNode::LogicalWrite(TxnId txn, ObjectId obj, Value value,
     cb(Status::Unavailable("no majority in view"));
     return;
   }
-
-  const uint64_t op_id = next_op_id_++;
-  PendingWrite pw;
-  pw.txn = txn;
-  pw.obj = obj;
-  pw.value = value;
-  pw.cb = std::move(cb);
+  LogicalOp& op = StartWrite(rec, txn, obj, std::move(value), std::move(cb),
+                             config_.op_timeout + config_.lock_timeout,
+                             "write-all-in-view incomplete");
   for (ProcessorId q : env_.placement->CopyHolders(obj)) {
-    if (view.count(q) > 0) pw.awaiting.insert(q);
+    if (view.count(q) > 0) op.awaiting.insert(q);
   }
-  pw.timeout_event = env_.executor->ScheduleAfter(
-      config_.op_timeout + config_.lock_timeout, [this, op_id]() {
-        auto it = pending_writes_.find(op_id);
-        if (it == pending_writes_.end()) return;
-        PendingWrite done = std::move(it->second);
-        pending_writes_.erase(it);
-        OpFailed(done.txn, done.max_lock_wait_us);
-        done.cb(Status::Timeout("write-all-in-view incomplete"));
-      });
   const VpId date{++write_counter_, id_};
-  const std::set<ProcessorId> targets = pw.awaiting;
-  PendingWrite& live = pending_writes_[op_id] = std::move(pw);
-  live.issued_at = OpIssued(rec, /*is_write=*/true);
-  for (ProcessorId q : targets) {
+  for (ProcessorId q : op.awaiting) {
     rec->participants.insert(q);
-    ++stats_.phys_writes_sent;
-    SendPhys(q, core::msg::kPhysWrite,
-             PhysWrite{txn, obj, value, date, /*epoch=*/0, op_id, {}},
-             [this, op_id, q]() {
-               OnDeliveryTimeout(op_id, q, /*write_phase=*/true);
-             },
-             rec->trace, RetransmitToPath(txn));
+    SendOpRequest(op, q,
+                  PhysWrite{txn, obj, op.value, date, /*epoch=*/0, op.id,
+                            {}});
   }
-}
-
-void NaiveViewNode::OnDeliveryTimeout(uint64_t op_id, ProcessorId q,
-                                      bool write_phase) {
-  if (retired_) return;
-  // Synthesize a nack from `q` so the normal reply path fails the op.
-  net::Message m;
-  m.src = q;
-  m.dst = id_;
-  m.sent_at = env_.clock->Now();
-  if (write_phase) {
-    m.type = core::msg::kPhysWriteReply;
-    m.body = PhysWriteReply{op_id, false, "delivery-timeout"};
-  } else {
-    m.type = core::msg::kPhysReadReply;
-    m.body = PhysReadReply{op_id, false, "delivery-timeout", Value(),
-                           kEpochDate};
-  }
-  HandleProtocolMessage(m);
-}
-
-bool NaiveViewNode::HandleProtocolMessage(const net::Message& m) {
-  if (m.type == core::msg::kPhysReadReply) {
-    const auto& body = net::BodyAs<PhysReadReply>(m);
-    auto it = pending_reads_.find(body.op_id);
-    if (it == pending_reads_.end()) return true;
-    PendingRead done = std::move(it->second);
-    pending_reads_.erase(it);
-    env_.executor->Cancel(done.timeout_event);
-    if (!body.ok) {
-      OpFailed(done.txn, body.lock_wait_us);
-      done.cb(body.error == "delivery-timeout"
-                  ? Status::Timeout("physical read delivery deadline passed")
-                  : Status::Aborted("physical read failed: " + body.error));
-      return true;
-    }
-    const core::ReadResult r{body.value, body.date, m.src};
-    ReadDone(done.txn, done.obj, r, done.issued_at, body.lock_wait_us);
-    done.cb(r);
-    return true;
-  }
-  if (m.type == core::msg::kPhysWriteReply) {
-    const auto& body = net::BodyAs<PhysWriteReply>(m);
-    auto it = pending_writes_.find(body.op_id);
-    if (it == pending_writes_.end()) return true;
-    PendingWrite& pw = it->second;
-    if (pw.max_lock_wait_us < body.lock_wait_us) {
-      pw.max_lock_wait_us = body.lock_wait_us;
-    }
-    if (!body.ok) {
-      PendingWrite done = std::move(it->second);
-      pending_writes_.erase(it);
-      env_.executor->Cancel(done.timeout_event);
-      OpFailed(done.txn, done.max_lock_wait_us);
-      done.cb(body.error == "delivery-timeout"
-                  ? Status::Timeout("physical write delivery deadline passed")
-                  : Status::Aborted("physical write failed: " + body.error));
-      return true;
-    }
-    pw.awaiting.erase(m.src);
-    if (pw.awaiting.empty()) {
-      PendingWrite done = std::move(it->second);
-      pending_writes_.erase(it);
-      env_.executor->Cancel(done.timeout_event);
-      WriteDone(done.txn, done.obj, done.value, done.issued_at,
-                done.max_lock_wait_us);
-      done.cb(Status::Ok());
-    }
-    return true;
-  }
-  return false;
 }
 
 }  // namespace vp::protocols

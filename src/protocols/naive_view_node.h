@@ -16,7 +16,6 @@
 #ifndef VPART_PROTOCOLS_NAIVE_VIEW_NODE_H_
 #define VPART_PROTOCOLS_NAIVE_VIEW_NODE_H_
 
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -50,38 +49,10 @@ class NaiveViewNode : public core::NodeBase {
   /// neighborhood (itself plus every processor it can reach directly).
   std::set<ProcessorId> CurrentView() const;
 
- protected:
-  bool HandleProtocolMessage(const net::Message& m) override;
-
  private:
-  /// Reliable-channel delivery-deadline hook; synthesizes a failed reply
-  /// from `q` so the op fails through the normal reply path.
-  void OnDeliveryTimeout(uint64_t op_id, ProcessorId q, bool write_phase);
-
-  struct PendingRead {
-    TxnId txn;
-    ObjectId obj;
-    core::ReadCallback cb;
-    runtime::TaskId timeout_event = runtime::kInvalidTask;
-    runtime::TimePoint issued_at = 0;
-  };
-  struct PendingWrite {
-    TxnId txn;
-    ObjectId obj;
-    Value value;
-    core::WriteCallback cb;
-    std::set<ProcessorId> awaiting;
-    /// Largest lock wait any reply reported, for critical-path attribution.
-    uint64_t max_lock_wait_us = 0;
-    runtime::TaskId timeout_event = runtime::kInvalidTask;
-    runtime::TimePoint issued_at = 0;
-  };
-
   NaiveConfig config_;
   std::optional<std::set<ProcessorId>> view_override_;
   uint64_t write_counter_ = 0;
-  std::map<uint64_t, PendingRead> pending_reads_;
-  std::map<uint64_t, PendingWrite> pending_writes_;
 };
 
 }  // namespace vp::protocols

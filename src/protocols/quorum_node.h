@@ -50,8 +50,6 @@ class QuorumNode : public core::NodeBase {
  public:
   QuorumNode(ProcessorId id, core::NodeEnv env, QuorumConfig config);
 
-  void Retire() override;
-
   void LogicalRead(TxnId txn, ObjectId obj, core::ReadCallback cb) override;
   void LogicalWrite(TxnId txn, ObjectId obj, Value value,
                     core::WriteCallback cb) override;
@@ -62,77 +60,20 @@ class QuorumNode : public core::NodeBase {
   Weight WriteQuorum(ObjectId obj) const;
 
  protected:
-  bool HandleProtocolMessage(const net::Message& m) override;
+  /// Vote counting for reads and version polls; a write's phase 2 needs
+  /// every polled copy (the default rule).
+  OpStep OnOpReply(LogicalOp& op, const OpReply& r) override;
 
  private:
   /// Copies to contact for a quorum of `needed` votes; empty if no such
   /// set exists (object under-replicated for the quorum).
   std::vector<ProcessorId> SelectCopies(ObjectId obj, Weight needed) const;
 
-  Status AdmitOp(TxnId txn, core::NodeBase::TxnRec** rec_out);
-
-  struct PendingRead {
-    TxnId txn;
-    ObjectId obj;
-    core::ReadCallback cb;
-    Weight votes_needed = 0;
-    Weight votes_have = 0;
-    std::set<ProcessorId> outstanding;
-    /// Channel ids of the in-flight requests, for cancelling the leftovers
-    /// when the quorum completes without every reply (vote overshoot).
-    std::map<ProcessorId, uint64_t> rel_ids;
-    Value best_value;
-    VpId best_date;
-    bool have_value = false;
-    /// Largest lock wait any reply reported, for critical-path attribution.
-    uint64_t max_lock_wait_us = 0;
-    runtime::TaskId timeout_event = runtime::kInvalidTask;
-    runtime::TimePoint issued_at = 0;
-  };
-  struct PendingWrite {
-    TxnId txn;
-    ObjectId obj;
-    Value value;
-    core::WriteCallback cb;
-    // Phase 1: version poll (exclusive locks); phase 2: write.
-    bool polling = true;
-    Weight votes_needed = 0;
-    Weight votes_have = 0;
-    std::set<ProcessorId> outstanding;
-    std::map<ProcessorId, uint64_t> rel_ids;  // As in PendingRead.
-    std::set<ProcessorId> pollers;  // Copies that answered the poll.
-    VpId max_date;
-    /// Largest lock wait across poll and write replies (attribution).
-    uint64_t max_lock_wait_us = 0;
-    runtime::TaskId timeout_event = runtime::kInvalidTask;
-    /// Issue of the version poll: one latency window spans both phases.
-    runtime::TimePoint issued_at = 0;
-  };
-
-  void FailRead(uint64_t op_id, Status why);
-  void FailWrite(uint64_t op_id, Status why);
-  void StartWritePhase2(uint64_t op_id);
-
-  /// Stops retransmission of every still-outstanding request of a
-  /// completed/failed operation. A leftover request served after the
-  /// transaction decides is a physical access outside its 2PL window.
-  template <typename Pending>
-  void CancelOutstanding(const Pending& p) {
-    for (ProcessorId q : p.outstanding) {
-      auto it = p.rel_ids.find(q);
-      if (it != p.rel_ids.end()) CancelPhys(it->second);
-    }
-  }
-
-  /// Reliable-channel delivery-deadline hook: synthesizes a failed reply
-  /// from `q` so the quorum-unreachable accounting runs and the caller
-  /// gets an explicit timeout instead of waiting out the op timer.
-  /// `write_phase` distinguishes a phase-2 write from a read/version poll.
-  void OnDeliveryTimeout(uint64_t op_id, ProcessorId q, bool write_phase);
+  /// Phase 2 of a write whose version poll reached a quorum: writes
+  /// value/version+1 to the polled copies.
+  void StartWritePhase2(LogicalOp& op);
 
   QuorumConfig config_;
-  std::map<uint64_t, PendingRead> pending_reads_;
-  std::map<uint64_t, PendingWrite> pending_writes_;
 };
 
 /// Thomas-style majority voting: r = w = majority. Takes everything but

@@ -324,6 +324,62 @@ TEST(Amnesia, DoubleTornCrashSalvagesDeterministically) {
   EXPECT_TRUE(b.certified);
 }
 
+// A coordinator rebooted by crash-amnesia with a logical write in flight.
+// The crash fails the op's callback once, before any reply can land, and
+// no deadline of the op runs on the retired object afterwards: one firing
+// there would doom the dead transaction a second time and call back into
+// a client that already moved on.
+class RebootWithOpInFlight : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(RebootWithOpInFlight, FailsTheCallbackOnceAndLeavesNoDeadline) {
+  ClusterConfig config;
+  config.n_processors = 3;
+  config.n_objects = 1;
+  config.seed = 17;
+  config.protocol = GetParam();
+  config.durability = DurabilityMode::kWal;
+  Cluster cluster(config);
+  cluster.RunFor(sim::Seconds(2));
+
+  core::NodeBase& retired = cluster.node(0);
+  const TxnId txn = retired.NewTxnId();
+  retired.Begin(txn);
+  int calls = 0;
+  Status result;
+  retired.LogicalWrite(txn, 0, "X", [&](Status s) {
+    ++calls;
+    result = s;
+  });
+  // The crash fires before any remote reply arrives, and a crashed
+  // processor receives nothing: the write is in flight when it dies.
+  cluster.injector().CrashAmnesiaAt(cluster.scheduler().Now(), 0);
+  cluster.RunFor(sim::Millis(1));
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(result.ok());
+  const uint64_t aborted = retired.stats().txns_aborted;
+
+  // Reboot well after every op deadline has passed, then run on.
+  cluster.injector().RecoverAt(cluster.scheduler().Now() + sim::Millis(500),
+                               0);
+  cluster.RunFor(sim::Seconds(2));
+  ASSERT_NE(&cluster.node(0), &retired);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(retired.stats().txns_aborted, aborted);
+  EXPECT_TRUE(cluster.recorder().safety_violations().empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Coordinators, RebootWithOpInFlight,
+    ::testing::Values(Protocol::kVirtualPartition, Protocol::kQuorum,
+                      Protocol::kNaiveView),
+    [](const ::testing::TestParamInfo<Protocol>& param) {
+      std::string name = harness::ProtocolName(param.param);
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
 TEST(AmnesiaPlan, RoundTripKeepsDurabilityPlacementAndAmnesiaActions) {
   nemesis::FaultPlan plan;
   plan.n_processors = 4;
