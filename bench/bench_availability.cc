@@ -26,12 +26,6 @@ Row RunSide(harness::Protocol protocol, bool majority_side, uint64_t seed) {
   config.protocol = protocol;
   // Give voting its availability-maximizing selection.
   config.quorum.poll_all = true;
-  if (protocol == harness::Protocol::kMajorityVoting) {
-    config.protocol = harness::Protocol::kQuorum;
-    config.quorum.read_quorum = 3;
-    config.quorum.write_quorum = 3;
-    config.quorum.display_name = "majority-voting";
-  }
   harness::Cluster cluster(config);
 
   // Partition {0,1} | {2,3,4} for the whole measurement window.
