@@ -308,8 +308,6 @@ void WriteJson(const std::string& path, const Options& opts,
         w.Field("p50_commit_ms", r.p50_ms);
         w.Field("p99_commit_ms", r.p99_ms);
         w.Field("certified_1sr", r.certified_1sr);
-        w.Field("wheel_lock_acquisitions",
-                r.metrics.CounterValue("runtime.wheel_lock_acquisitions"));
         w.Field("mailbox_pushes",
                 r.metrics.CounterValue("runtime.mailbox_pushes"));
         w.Field("cross_shard_wakeups",
@@ -480,18 +478,16 @@ int Main(int argc, char** argv) {
     const harness::Protocol proto = protos.front();
     std::printf(
         "\nE18: worker scaling, %s (%u clients, %u ms window, %u hw threads)\n"
-        "%8s %12s %10s %12s %16s %16s  %s\n",
+        "%8s %12s %10s %12s %16s  %s\n",
         harness::ProtocolName(proto).c_str(), opts.clients, opts.duration_ms,
         std::thread::hardware_concurrency(), "workers", "txns/sec",
-        "committed", "p99 (ms)", "heap-lock acqs", "mailbox pushes", "1SR");
+        "committed", "p99 (ms)", "mailbox pushes", "1SR");
     for (uint32_t workers : opts.threads) {
       ProtoResult r = RunOne(proto, opts, /*tracing=*/false, {}, workers);
       std::printf(
-          "%8u %12.1f %10llu %12.3f %16llu %16llu  %s\n", r.workers,
+          "%8u %12.1f %10llu %12.3f %16llu  %s\n", r.workers,
           r.txns_per_sec, static_cast<unsigned long long>(r.committed),
           r.p99_ms,
-          static_cast<unsigned long long>(
-              r.metrics.CounterValue("runtime.wheel_lock_acquisitions")),
           static_cast<unsigned long long>(
               r.metrics.CounterValue("runtime.mailbox_pushes")),
           r.certified_1sr ? "yes" : "NO");

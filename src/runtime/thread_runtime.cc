@@ -241,7 +241,6 @@ ThreadRuntime::ThreadRuntime(uint32_t n_processors, Config config)
   obs::MetricsRegistry* metrics = config_.metrics != nullptr
                                       ? config_.metrics
                                       : obs::MetricsRegistry::Default();
-  ctr_wheel_lock_ = metrics->counter("runtime.wheel_lock_acquisitions");
   ctr_mailbox_pushes_ = metrics->counter("runtime.mailbox_pushes");
   ctr_cross_wakeups_ = metrics->counter("runtime.cross_shard_wakeups");
   ctr_msgs_sent_ = metrics->counter("net.msgs_sent");

@@ -61,9 +61,6 @@ class ThreadRuntime {
     Duration delta = sim::Millis(1);
     /// Registry for runtime-internal metrics. Null = process-global
     /// default. Key counters: runtime.mailbox_pushes (lock-free hot path),
-    /// runtime.wheel_lock_acquisitions (successor of the old global wheel
-    /// lock's count; the sharded design arms timers on worker-private
-    /// heaps, so this stays 0 — kept registered for cross-commit diffs),
     /// runtime.cross_shard_wakeups (condvar notifies of sleeping shards),
     /// net.msgs_dropped_dead / net.msgs_retried_unregistered /
     /// net.msgs_dropped_unregistered (transport loss accounting).
@@ -180,7 +177,6 @@ class ThreadRuntime {
   std::atomic<uint64_t> tasks_run_{0};
 
   /// Observability (counters are sharded atomics; safe from any thread).
-  obs::Counter* ctr_wheel_lock_ = nullptr;
   obs::Counter* ctr_mailbox_pushes_ = nullptr;
   obs::Counter* ctr_cross_wakeups_ = nullptr;
   obs::Counter* ctr_msgs_sent_ = nullptr;
